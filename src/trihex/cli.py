@@ -2,8 +2,8 @@
 generation, exact membership queries, dimension reports, rendering, and
 the construction equivalence check.
 
-Exit codes: 0 success, 1 domain/resource error (one-line diagnostic on
-stderr), 2 usage error.
+Exit codes: 0 success, 1 domain/resource/file error (one-line diagnostic
+on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -101,14 +101,14 @@ def _cmd_gen(args) -> int:
     system = DigitSystem(args.base, args.balance)
     p = ifs_prefractal(system, args.depth, args.max_squares)
     if args.format == "json":
-        _emit(prefractal_to_json(p) + "\n", args.out)
+        data = prefractal_to_json(p) + "\n"
     elif args.format == "text":
-        lines = "".join(f"{i} {j}\n" for i, j in p)
-        _emit(lines, args.out)
+        data = "".join(f"{i} {j}\n" for i, j in p)
     elif args.format == "pbm":
-        _emit(write_pbm(rasterize(p)[1]), args.out)
+        data = write_pbm(rasterize(p)[1])
     else:
-        _emit(write_svg(p), args.out)
+        data = write_svg(p)
+    _emit(data, args.out)
     return 0
 
 
@@ -116,14 +116,6 @@ def _cmd_dim(args) -> int:
     system = DigitSystem(args.base, args.balance)
     report = box_count_estimate(system, args.depth, args.max_squares)
     print(report_to_json(report))
-    return 0
-
-
-def _cmd_render(args) -> int:
-    system = DigitSystem(args.base, args.balance)
-    p = ifs_prefractal(system, args.depth, args.max_squares)
-    data = write_pbm(rasterize(p)[1]) if args.format == "pbm" else write_svg(p)
-    _emit(data, args.out)
     return 0
 
 
@@ -196,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p, depth=True)
     p.add_argument("--format", choices=["pbm", "svg"], default="pbm")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_render)
+    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="check geometric vs digit construction equivalence")
     _add_system_flags(p, depth=True)
@@ -217,7 +209,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ResourceError) as exc:
+    except (DomainError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

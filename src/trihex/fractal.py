@@ -43,9 +43,6 @@ __all__ = [
 
 DEFAULT_MAX_SQUARES = 10**7
 
-# lexicographic sort key i * 2^32 + j; safe while |index| < 2^31
-_KEY_SHIFT = np.int64(2) ** 32
-
 
 @dataclass(frozen=True)
 class GeneratorLattice:
@@ -105,35 +102,79 @@ def index_bounds(system: DigitSystem, depth: int) -> tuple[int, int]:
     return -system.b * g, (system.m - 1 - system.b) * g
 
 
+def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
+    """(lo, W) of the depth-n square key (i - lo) * W + (j - lo), W = hi - lo + 1."""
+    lo, hi = index_bounds(system, depth)
+    if (hi - lo + 1) ** 2 > 2**63:
+        raise DomainError(f"depth {depth} too deep for base {system}: keys overflow int64")
+    return lo, hi - lo + 1
+
+
+def _index_pairs(squares) -> np.ndarray:
+    """Square indices as an int64 array; only exact integers are accepted."""
+    if isinstance(squares, np.ndarray):
+        exact = squares.dtype.kind != "b" and np.can_cast(squares.dtype, np.int64)
+    else:
+        try:
+            exact = all(type(v) is int for row in squares for v in row)
+        except TypeError:
+            raise DomainError("squares must be an array of (i, j) pairs") from None
+    if not exact:
+        raise DomainError("square indices must be integers")
+    try:
+        return np.asarray(squares, dtype=np.int64)
+    except OverflowError:
+        raise DomainError("square index does not fit in int64") from None
+    except ValueError:
+        raise DomainError("squares must be an array of (i, j) pairs") from None
+
+
 class Prefractal:
     """A depth-n set of grid squares, lex-sorted by (i, j) and duplicate-free.
 
     Square (i, j) denotes [i/m^n, (i+1)/m^n] x [j/m^n, (j+1)/m^n].
-    Indices may be negative in balanced systems.
+    Indices may be negative in balanced systems.  Stored once, as sorted
+    int64 keys (i - lo) * W + (j - lo) with [lo, hi] = index_bounds and
+    W = hi - lo + 1.  W^2 must fit in int64: the depth is at most 31 for
+    (2, 0), 19 for (3, 1) and 13 for (5, 2), and DomainError beyond.
     """
 
-    __slots__ = ("system", "depth", "squares", "_keys")
+    __slots__ = ("system", "depth", "_keys")
 
     def __init__(self, system: DigitSystem, depth: int, squares):
-        if depth < 0:
-            raise DomainError(f"depth must be nonnegative, got {depth}")
-        arr = np.asarray(squares, dtype=np.int64)
+        if type(depth) is not int or depth < 0:
+            raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
+        lo, width = _key_frame(system, depth)
+        arr = _index_pairs(squares)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise DomainError("squares must be an array of (i, j) pairs")
-        lo, hi = index_bounds(system, depth)
-        if arr.size and (int(arr.min()) < lo or int(arr.max()) > hi):
-            raise DomainError(f"square index outside depth-{depth} range [{lo}, {hi}]")
-        keys = arr[:, 0] * _KEY_SHIFT + arr[:, 1]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        if arr.size and (int(arr.min()) < lo or int(arr.max()) >= lo + width):
+            raise DomainError(f"square index outside depth-{depth} range [{lo}, {lo + width - 1}]")
+        self._canonicalise(system, depth, (arr[:, 0] - lo) * width + (arr[:, 1] - lo))
+
+    @classmethod
+    def _from_keys(cls, system: DigitSystem, depth: int, keys: np.ndarray) -> Prefractal:
+        return cls.__new__(cls)._canonicalise(system, depth, keys)
+
+    def _canonicalise(self, system: DigitSystem, depth: int, keys: np.ndarray) -> Prefractal:
+        keys.sort(kind="stable")  # merges already-sorted runs in linear passes
         if keys.size and bool(np.any(keys[1:] == keys[:-1])):
             raise DomainError("duplicate grid squares")
         self.system = system
         self.depth = depth
-        self.squares = arr[order]
         self._keys = keys
+        return self
+
+    @property
+    def squares(self) -> np.ndarray:
+        """The (i, j) pairs in key order, as a fresh N x 2 int64 array."""
+        lo, width = _key_frame(self.system, self.depth)
+        out = np.empty((len(self), 2), dtype=np.int64)
+        np.divmod(self._keys, width, out=(out[:, 0], out[:, 1]))
+        out += lo
+        return out
 
     def __len__(self) -> int:
         return int(self._keys.size)
@@ -153,7 +194,10 @@ class Prefractal:
         return f"Prefractal(system={self.system}, depth={self.depth}, squares={len(self)})"
 
     def has_square(self, i: int, j: int) -> bool:
-        key = np.int64(i) * _KEY_SHIFT + np.int64(j)
+        lo, width = _key_frame(self.system, self.depth)
+        if not (0 <= i - lo < width and 0 <= j - lo < width):
+            return False
+        key = (i - lo) * width + (j - lo)
         pos = int(np.searchsorted(self._keys, key))
         return pos < len(self) and self._keys[pos] == key
 
@@ -178,9 +222,13 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
         raise ResourceError(
             f"depth {p.depth + 1} needs {expected} squares, over the cap {max_squares}"
         )
-    shifts = np.asarray(lat.points, dtype=np.int64) * p.system.m**p.depth
-    kids = (p.squares[:, None, :] + shifts[None, :, :]).reshape(-1, 2)
-    return Prefractal(p.system, p.depth + 1, kids)
+    kid_lo, kid_width = _key_frame(p.system, p.depth + 1)
+    i, j = (p.squares - kid_lo).T  # the parent squares in the child key frame
+    base = i * kid_width + j
+    scale = p.system.m**p.depth
+    shifts = np.array([(k * kid_width + h) * scale for k, h in lat.points], dtype=np.int64)
+    # shifts on the outer axis, so the sort merges len(lat) sorted runs
+    return Prefractal._from_keys(p.system, p.depth + 1, (shifts[:, None] + base).reshape(-1))
 
 
 def ifs_prefractal(system: DigitSystem, n: int,
@@ -220,30 +268,24 @@ def prefractal_by_digits(system: DigitSystem, n: int,
     """
     if n < 0:
         raise DomainError(f"depth must be nonnegative, got {n}")
-    if n == 0:
-        return unit_square(system)
     if max_squares is not None:
         expected = lattice_cardinality(system.m, system.b) ** n
         if expected > max_squares or system.m ** (2 * n) > 32 * max_squares:
             raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
-    lo, hi = index_bounds(system, n)
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
-    digits = _digit_matrix(vals, system, n)
+    lo, width = _key_frame(system, n)
+    digits = _digit_matrix(np.arange(lo, lo + width, dtype=np.int64), system, n)
     d_lo, d_hi = system.min_digit, system.max_digit
-    rows_i = []
-    rows_j = []
+    keys = []
     block = 4096  # bound the (block x m^n) pair mask
-    for start in range(0, len(vals), block):
+    for start in range(0, width, block):
         da = digits[start : start + block]
-        ok = np.ones((da.shape[0], len(vals)), dtype=bool)
+        ok = np.ones((da.shape[0], width), dtype=bool)
         for t in range(n):
             s = da[:, t : t + 1] + digits[:, t][None, :]
             ok &= (s >= d_lo) & (s <= d_hi)
-        bi, bj = np.nonzero(ok)
-        rows_i.append(vals[bi + start])
-        rows_j.append(vals[bj])
-    squares = np.column_stack([np.concatenate(rows_i), np.concatenate(rows_j)])
-    return Prefractal(system, n, squares)
+        # the flat mask index is (i - lo - start) * W + (j - lo)
+        keys.append(np.flatnonzero(ok) + start * width)
+    return Prefractal._from_keys(system, n, np.concatenate(keys))
 
 
 def equivalence_check(system: DigitSystem, n: int,
@@ -381,8 +423,8 @@ def prefractal_from_json(text: str) -> Prefractal:
         squares = payload["squares"]
     except KeyError as exc:
         raise DomainError(f"bad prefractal JSON: missing field {exc}") from None
-    if not isinstance(depth, int) or not isinstance(count, int):
-        raise DomainError("bad prefractal JSON: depth and count must be integers")
+    if type(count) is not int:
+        raise DomainError("bad prefractal JSON: count must be an integer")
     p = Prefractal(system, depth, squares)
     if len(p) != count:
         raise DomainError(f"square count {len(p)} does not match declared {count}")

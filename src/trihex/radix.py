@@ -39,7 +39,7 @@ class DigitSystem:
     b: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or not isinstance(self.b, int):
+        if type(self.m) is not int or type(self.b) is not int:  # bool is not a radix
             raise DomainError("radix and balance must be integers")
         if self.m < 2:
             raise DomainError(f"radix must be at least 2, got m={self.m}")
@@ -276,14 +276,7 @@ def expansions(r, system: DigitSystem, depth: int) -> list[DigitString]:
                 walk(acc, nxt, k + 1)
 
     walk({}, r, 0)
-    # distinct digit choices give distinct prefixes; the set only guards regressions
-    seen = set()
-    out = []
-    for p in found:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return found
 
 
 # Numeral text format: space-separated decimal digits inside brackets, an

@@ -21,23 +21,27 @@ __all__ = ["RasterSpec", "rasterize", "write_pbm", "write_svg"]
 class RasterSpec:
     """Pixel geometry of a rendered prefractal: one pixel per grid cell."""
 
-    prefractal: Prefractal
     origin: tuple[int, int]  # (i_min, j_min) of the bounding box
     width: int
     height: int
 
 
+def _bounding_box(squares: np.ndarray) -> RasterSpec:
+    """Integer bounding box of a nonempty N x 2 array of (i, j) squares."""
+    if len(squares) == 0:
+        raise DomainError("cannot render an empty prefractal")
+    i_min, j_min = (int(v) for v in squares.min(axis=0))
+    i_max, j_max = (int(v) for v in squares.max(axis=0))
+    return RasterSpec((i_min, j_min), i_max - i_min + 1, j_max - j_min + 1)
+
+
 def rasterize(p: Prefractal) -> tuple[RasterSpec, np.ndarray]:
     """Bitmap with pixel (row, col) set iff the matching cell is a square."""
-    if len(p) == 0:
-        raise DomainError("cannot rasterize an empty prefractal")
-    cols = p.squares[:, 0]
-    rows = p.squares[:, 1]
-    i_min, i_max = int(cols.min()), int(cols.max())
-    j_min, j_max = int(rows.min()), int(rows.max())
-    spec = RasterSpec(p, (i_min, j_min), i_max - i_min + 1, j_max - j_min + 1)
+    squares = p.squares
+    spec = _bounding_box(squares)
+    i_min, j_min = spec.origin
     bitmap = np.zeros((spec.height, spec.width), dtype=np.uint8)
-    bitmap[j_max - rows, cols - i_min] = 1
+    bitmap[j_min + spec.height - 1 - squares[:, 1], squares[:, 0] - i_min] = 1
     return spec, bitmap
 
 
@@ -57,25 +61,20 @@ def write_pbm(bitmap) -> bytes:
 
 def write_svg(p: Prefractal) -> bytes:
     """One unit rect per square on the integer grid, y flipped so +j is up."""
-    if len(p) == 0:
-        raise DomainError("cannot render an empty prefractal")
-    i = p.squares[:, 0]
-    j = p.squares[:, 1]
-    i_min, i_max = int(i.min()), int(i.max())
-    j_min, j_max = int(j.min()), int(j.max())
-    width = i_max - i_min + 1
-    height = j_max - j_min + 1
+    squares = p.squares
+    spec = _bounding_box(squares)
+    (i_min, j_min), width, height = spec.origin, spec.width, spec.height
     parts = [
         b'<?xml version="1.0" encoding="UTF-8"?>',
         (
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'viewBox="{i_min} {-(j_max + 1)} {width} {height}" '
+            f'viewBox="{i_min} {-(j_min + height)} {width} {height}" '
             f'width="{width}" height="{height}">'
         ).encode("ascii"),
     ]
     parts.extend(
         f'<rect x="{a}" y="{-(c + 1)}" width="1" height="1"/>'.encode("ascii")
-        for a, c in p.squares.tolist()
+        for a, c in squares.tolist()
     )
     parts.append(b"</svg>")
     return b"\n".join(parts) + b"\n"

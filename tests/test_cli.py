@@ -113,6 +113,14 @@ class TestGen:
         assert code == 0 and out == ""
         assert prefractal_from_json(target.read_text()) == ifs_prefractal(DigitSystem(3, 1), 1)
 
+    def test_unwritable_out_is_one_line_error(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "x")
+        for command in ("gen", "render"):
+            code, out, err = invoke(capsys, command, "--base", "2", "--depth", "1",
+                                    "--out", target)
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+
     def test_max_squares_cap(self, capsys):
         code, _, err = invoke(capsys, "gen", "--base", "2", "--balance", "0", "--depth", "10",
                               "--max-squares", "100")

@@ -109,6 +109,28 @@ class TestPrefractal:
         p = ifs_prefractal(BT, 2)
         assert p.has_square(-4, 3)
         assert not p.has_square(4, 4)
+        # out-of-range indices would alias the keys of (1, 0) and (0, 1)
+        q = ifs_prefractal(DigitSystem(2, 0), 2)
+        assert not q.has_square(0, 4)
+        assert not q.has_square(1, -3)
+
+    def test_key_overflow_rejected(self):
+        # a key of i * 2^32 + j wraps here, sorting (0, 1) last and finding (0, 0)
+        with pytest.raises(DomainError):
+            Prefractal(DigitSystem(2, 0), 40, [(2**35, 0), (2**35 - 8, 5), (0, 1)])
+
+    def test_deepest_base_two_keeps_lex_order(self):
+        top = 2**31 - 1
+        p = Prefractal(DigitSystem(2, 0), 31, [(top, 0), (top - 8, top), (0, 1), (top, top)])
+        assert list(p) == [(0, 1), (top - 8, top), (top, 0), (top, top)]
+        assert p.has_square(top, top) and not p.has_square(0, 0)
+
+    @pytest.mark.parametrize("system,limit", [(DigitSystem(2, 0), 31), (BT, 19),
+                                              (DigitSystem(5, 2), 13)])
+    def test_key_depth_limit(self, system, limit):
+        assert list(Prefractal(system, limit, [(0, 0)])) == [(0, 0)]
+        with pytest.raises(DomainError):
+            Prefractal(system, limit + 1, [(0, 0)])
 
     def test_grid_square_bounds(self):
         sq = GridSquare(2, -4, 3)
@@ -365,6 +387,13 @@ class TestJson:
             '{"m":2,"b":0,"depth":1,"count":2,"squares":[[0,0],[0,0]]}',
             '{"m":2,"b":0,"depth":1,"count":1,"squares":[[5,0]]}',
             '{"m":2,"b":0,"count":3,"squares":[[0,0],[0,1],[1,0]]}',
+            '{"m":2,"b":0,"depth":1,"count":1,"squares":[[0.7,0]]}',
+            '{"m":2,"b":0,"depth":true,"count":1,"squares":[[0,0]]}',
+            '{"m":2,"b":0,"depth":1,"count":true,"squares":[[0,0]]}',
+            '{"m":2,"b":0,"depth":1,"count":2,"squares":[[0,0],[true,0]]}',
+            '{"m":2,"b":0,"depth":1,"count":1,"squares":[[36893488147419103232,0]]}',
+            '{"m":3,"b":true,"depth":1,"count":1,"squares":[[0,0]]}',
+            '{"m":2,"b":0,"depth":1,"count":1,"squares":[5]}',
         ],
     )
     def test_rejects_tampered(self, bad):

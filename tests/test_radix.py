@@ -30,7 +30,8 @@ class TestDigitSystem:
         DigitSystem(5, 2)
         DigitSystem(12, 6)
 
-    @pytest.mark.parametrize("m,b", [(1, 0), (0, 0), (2, 1), (3, 2), (4, 3), (3, -1), (5, 3)])
+    @pytest.mark.parametrize("m,b", [(1, 0), (0, 0), (2, 1), (3, 2), (4, 3), (3, -1), (5, 3),
+                                     (3, True)])
     def test_illegal(self, m, b):
         with pytest.raises(DomainError):
             DigitSystem(m, b)
@@ -249,7 +250,9 @@ class TestExpansions:
                 q = rng.randint(1, 100)
                 r = iv.lo + Fraction(rng.randint(0, q), q) * (iv.hi - iv.lo)
                 for depth in (1, 3, 5):
-                    for p in expansions(r, system, depth):
+                    ps = expansions(r, system, depth)
+                    assert len(set(ps)) == len(ps)
+                    for p in ps:
                         assert p.min_exponent is None or p.min_exponent >= -depth
                         assert abs(r - p.value()) <= Fraction(1, system.m**depth)
 
