@@ -2,8 +2,8 @@
 generation, exact membership queries, dimension reports, rendering, and
 the construction equivalence check.
 
-Exit codes: 0 success, 1 domain/resource/file error (one-line diagnostic
-on stderr), 2 usage error.
+Exit codes: 0 success, 1 domain/resource/file error or a number past
+Python's int/str digit limit (one-line diagnostic on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .radix import (
 )
 from .render import rasterize, write_pbm, write_svg
 
-_RATIONAL_RE = re.compile(r"\A[+-]?\d+(/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"\A[+-]?[0-9]+(/[0-9]+)?\Z")
 
 
 class _UsageError(Exception):
@@ -58,13 +58,11 @@ def _parse_point(text: str) -> tuple[Fraction, Fraction]:
 
 
 def _emit(data: bytes | str, out: str | None) -> None:
-    if isinstance(data, str):
-        data = data.encode("ascii")
     if out:
         with open(out, "wb") as handle:
-            handle.write(data)
+            handle.write(data.encode("ascii") if isinstance(data, str) else data)
     else:
-        sys.stdout.write(data.decode("ascii"))
+        sys.stdout.write(data if isinstance(data, str) else data.decode("ascii"))
 
 
 def _cmd_convert(args) -> int:
@@ -209,7 +207,8 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ResourceError, OSError) as exc:
+    # ValueError covers DomainError and Python's 4300-digit int/str conversion limit
+    except (ValueError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

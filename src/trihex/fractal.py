@@ -5,7 +5,7 @@ geometric route (each square spawns one child per generator-lattice
 shift) and the digit route (keep exactly the index pairs whose digitwise
 sums stay inside the alphabet).  `equivalence_check` compares them as
 sets.  Membership of an exact rational point in the limit set is decided
-by searching the finite graph of remainder pairs for a reachable cycle.
+by searching the finite graph of integer remainder pairs for a reachable cycle.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .radix import DigitSystem, ValueInterval, frac_digit_choices
+from .radix import DigitSystem, _digit_window
 
 __all__ = [
     "DEFAULT_MAX_SQUARES",
@@ -50,14 +50,6 @@ class GeneratorLattice:
 
     system: DigitSystem
     points: tuple[tuple[int, int], ...]
-
-    @property
-    def m(self) -> int:
-        return self.system.m
-
-    @property
-    def b(self) -> int:
-        return self.system.b
 
     def __len__(self) -> int:
         return len(self.points)
@@ -301,81 +293,72 @@ class MembershipAutomaton:
     alphabet leads to (m*rx - dx, m*ry - dy); both remainders must stay
     in the value interval.  The start point belongs to the limit set
     exactly when an infinite digit path exists, i.e. when its state can
-    reach a cycle of the finite reachable graph.  Decided by iterative
-    three-color depth-first search.
+    reach a cycle of the finite reachable graph.  Every remainder keeps
+    the denominator q = lcm of the inputs' denominators, so a state is
+    the integer triple (a, c, q) for (a/q, c/q).  Decided by collecting
+    the reachable states, then peeling dead ends: a state with no live
+    successor dies, and what survives can walk forever.
     """
-
-    _GRAY, _BLACK = 1, 2
 
     def __init__(self, system: DigitSystem, max_states: int = 10**6):
         self.system = system
         self.max_states = max_states
-        self._interval = ValueInterval.of(system)
-        self._alive: dict[tuple[Fraction, Fraction], bool] = {}
-        self._color: dict[tuple[Fraction, Fraction], int] = {}
-        self._choices: dict[Fraction, list[tuple[int, Fraction]]] = {}
+        self._alive: dict[tuple[int, int, int], bool] = {}
 
     def states(self) -> dict[tuple[Fraction, Fraction], str]:
         """Visited remainder pairs mapped to 'alive' or 'dead'."""
-        return {s: ("alive" if ok else "dead") for s, ok in self._alive.items()}
+        return {
+            (Fraction(a, q), Fraction(c, q)): ("alive" if ok else "dead")
+            for (a, c, q), ok in self._alive.items()
+        }
 
-    def _digit_choices(self, r: Fraction):
-        got = self._choices.get(r)
-        if got is None:
-            got = self._choices[r] = frac_digit_choices(r, self.system)
-        return got
-
-    def _successors(self, state):
-        rx, ry = state
-        out = []
-        for dx, nx in self._digit_choices(rx):
-            for dy, ny in self._digit_choices(ry):
-                if self.system.has_digit(dx + dy):
-                    out.append((nx, ny))
-        return out
+    def _successors(self, state) -> list[tuple[int, int, int]]:
+        a, c, q = state
+        return [
+            (nx, ny, q)
+            for dx, nx in _digit_window(a, q, self.system)
+            for dy, ny in _digit_window(c, q, self.system)
+            if self.system.has_digit(dx + dy)
+        ]
 
     def decide(self, x, y) -> bool:
         """Exact membership of the rational point (x, y)."""
         x, y = Fraction(x), Fraction(y)
-        if not (self._interval.contains(x) and self._interval.contains(y)):
+        iv = self.system.interval()
+        if not (iv.contains(x) and iv.contains(y)):
             return False
-        root = (x, y)
-        known = self._alive.get(root)
-        if known is not None:
-            return known
-        color = self._color
+        q = math.lcm(x.denominator, y.denominator)
+        root = (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator), q)
         alive = self._alive
-        color[root] = self._GRAY
-        stack = [[root, iter(self._successors(root)), False]]
-        while stack:
-            frame = stack[-1]
-            pushed = False
-            if not frame[2]:
-                for nxt in frame[1]:
-                    c = color.get(nxt)
-                    if c == self._GRAY:  # cycle through the current path
-                        frame[2] = True
-                        break
-                    if c == self._BLACK:
-                        if alive[nxt]:
-                            frame[2] = True
-                            break
-                        continue
-                    if len(color) >= self.max_states:
-                        raise ResourceError(
-                            f"membership search exceeded {self.max_states} states"
-                        )
-                    color[nxt] = self._GRAY
-                    stack.append([nxt, iter(self._successors(nxt)), False])
-                    pushed = True
-                    break
-            if pushed:
-                continue
-            node, _, found = stack.pop()
-            color[node] = self._BLACK
-            alive[node] = found
-            if stack and found:
-                stack[-1][2] = True
+        if root in alive:
+            return alive[root]
+        # collect the undecided reachable states with their predecessors,
+        # and for each the count of its successors not known dead
+        preds = {root: []}
+        live = {}
+        todo = [root]
+        while todo:
+            state = todo.pop()
+            nexts = [t for t in self._successors(state) if alive.get(t, True)]
+            live[state] = len(nexts)
+            for t in nexts:
+                if t in alive:
+                    continue
+                if t not in preds:
+                    if len(alive) + len(preds) >= self.max_states:
+                        raise ResourceError(f"membership search exceeded {self.max_states} states")
+                    preds[t] = []
+                    todo.append(t)
+                preds[t].append(state)
+        # peel dead ends: a state whose live count reaches 0 dies
+        dead = [s for s, n in live.items() if not n]
+        for s in dead:
+            for p in preds[s]:
+                live[p] -= 1
+                if not live[p]:
+                    dead.append(p)
+        for s, n in live.items():
+            alive[s] = n > 0
         return alive[root]
 
 

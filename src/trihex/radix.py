@@ -9,7 +9,6 @@ every operation here is exact.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,6 +230,19 @@ def carry_free(x: DigitString, y: DigitString) -> bool:
     return all(system.has_digit(x.digit(e) + y.digit(e)) for e in spots)
 
 
+def _digit_window(a: int, q: int, system: DigitSystem) -> list[tuple[int, int]]:
+    """Digits d with m*r - d in the value interval, r = a/q, and numerators m*a - d*q.
+
+    Those d fill [m*r - hi, m*r - lo], a window of width 1.  With
+    f = floor(m*r - lo) they are {f - 1, f} when m*r - lo is an integer,
+    else {f}, clipped to the alphabet.  q > 0; ascending digit order.
+    """
+    m, b = system.m, system.b
+    f, rest = divmod((m - 1) * m * a + b * q, (m - 1) * q)
+    low = f if rest else f - 1
+    return [(d, m * a - d * q) for d in range(max(low, -b), min(f, m - 1 - b) + 1)]
+
+
 def frac_digit_choices(r, system: DigitSystem) -> list[tuple[int, Fraction]]:
     """Digits that can start a fractional expansion of r, with remainders.
 
@@ -243,10 +255,8 @@ def frac_digit_choices(r, system: DigitSystem) -> list[tuple[int, Fraction]]:
     iv = ValueInterval.of(system)
     if not iv.contains(r):
         raise DomainError(f"{r} outside value interval [{iv.lo}, {iv.hi}] of base {system}")
-    t = system.m * r
-    d_min = max(math.ceil(t - iv.hi), system.min_digit)
-    d_max = min(math.floor(t - iv.lo), system.max_digit)
-    return [(d, t - d) for d in range(d_min, d_max + 1)]
+    q = r.denominator
+    return [(d, Fraction(n, q)) for d, n in _digit_window(r.numerator, q, system)]
 
 
 def expansions(r, system: DigitSystem, depth: int) -> list[DigitString]:
@@ -279,11 +289,11 @@ def expansions(r, system: DigitSystem, depth: int) -> list[DigitString]:
     return found
 
 
-# Numeral text format: space-separated decimal digits inside brackets, an
+# Numeral text format: space-separated ASCII decimal digits inside brackets, an
 # optional '.' token as the radix point, then '@<m>b<b>'.
 # Examples: [1 -1 -1 -1]@3b1   [1 0 . 2]@3b0   [0]@2b0
-_NUMERAL_RE = re.compile(r"\A\s*\[([^\[\]@]*)\]@(\d+)b(\d+)\s*\Z")
-_TOKEN_RE = re.compile(r"\A-?\d+\Z")
+_NUMERAL_RE = re.compile(r"\A\s*\[([^\[\]@]*)\]@([0-9]+)b([0-9]+)\s*\Z")
+_TOKEN_RE = re.compile(r"\A-?[0-9]+\Z")
 
 
 def format_numeral(x: DigitString) -> str:
@@ -314,11 +324,7 @@ def parse_numeral(text: str) -> DigitString:
     def put(tok: str, e: int) -> None:
         if not _TOKEN_RE.match(tok):
             raise DomainError(f"bad digit token {tok!r} in numeral: {text!r}")
-        d = int(tok)
-        if not system.has_digit(d):
-            raise DomainError(f"digit {d} outside alphabet of base {system}")
-        if d:
-            digits[e] = d
+        digits[e] = int(tok)
 
     ipart, fpart = tokens[:point], tokens[point + 1 :]
     for spot, tok in enumerate(ipart):

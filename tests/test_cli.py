@@ -186,7 +186,8 @@ class TestExitCodes:
         assert code == 1 and "error:" in err
 
     def test_malformed_rational_is_domain_error(self, capsys):
-        for point in ("abc", "1/2", "1/2,1/2,1/2", "0.5,0.5", "1/0,0"):
+        for point in ("abc", "1/2", "1/2,1/2,1/2", "0.5,0.5", "1/0,0",
+                      "1/" + "1" * 4400 + ",0", "\u0661/\u0663,0"):
             code, _, err = invoke(capsys, "member", "--base", "2", "--balance", "0",
                                   "--point", point)
             assert code == 1, point
@@ -195,6 +196,11 @@ class TestExitCodes:
     def test_malformed_numeral_is_domain_error(self, capsys):
         code, _, err = invoke(capsys, "convert", "--x", "[9]@3b0")
         assert code == 1 and "error:" in err
+
+    def test_numeral_too_long_to_print_is_one_line_error(self, capsys):
+        code, out, err = invoke(capsys, "convert", "--x", "[{}]@10b0".format(" 1" * 4400))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_negative_int_in_standard_base_is_domain_error(self, capsys):
         code, _, err = invoke(capsys, "convert", "--int", "-5", "--base", "3")

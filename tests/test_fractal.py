@@ -17,6 +17,7 @@ from trihex import (
     covers_point,
     equivalence_check,
     expansions,
+    frac_digit_choices,
     ifs_prefractal,
     index_bounds,
     iterate,
@@ -280,6 +281,44 @@ class TestMembership:
         assert all(v in ("alive", "dead") for v in states.values())
         # second query on the same automaton reuses the memo
         assert auto.decide(Fraction(1, 2), Fraction(1, 2))
+
+    def test_automaton_matches_fresh_member_calls(self):
+        # one automaton shares its memo across denominators, repeats and
+        # an out-of-interval point, and answers as a fresh search would
+        points = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 4), Fraction(3, 4)),
+                  (Fraction(1, 7), Fraction(2, 7)), (Fraction(1, 4), Fraction(1, 8)),
+                  (Fraction(2), Fraction(0)), (Fraction(1, 7), Fraction(2, 7)),
+                  (Fraction(5, 12), Fraction(1, 3)), (Fraction(3, 4), Fraction(3, 4)),
+                  (Fraction(1, 2), Fraction(1, 2)), (Fraction(0), Fraction(1, 9)),
+                  # the second of each pair reaches states the first decided alive
+                  (Fraction(0), Fraction(1, 4)), (Fraction(0), Fraction(3, 4)),
+                  (Fraction(-1, 2), Fraction(1, 6)), (Fraction(-1, 6), Fraction(1, 2)),
+                  (Fraction(-1, 2), Fraction(1, 10)), (Fraction(-1, 2), Fraction(3, 10))]
+        for system in (DigitSystem(2, 0), BT, DigitSystem(5, 2)):
+            auto = MembershipAutomaton(system)
+            got = [auto.decide(x, y) for x, y in points]
+            assert got == [member(x, y, system) for x, y in points]
+            assert any(got) and not all(got)
+
+    def test_alive_states_have_a_live_successor(self):
+        rng = random.Random(0xC2)
+        for system in legal_systems(5):
+            iv = system.interval()
+            auto = MembershipAutomaton(system)
+            for _ in range(20):
+                q = rng.randint(1, 40)
+                auto.decide(iv.lo + Fraction(rng.randint(0, q), q),
+                            iv.lo + Fraction(rng.randint(0, q), q))
+            states = auto.states()
+            assert "alive" in states.values() and "dead" in states.values()
+            for (rx, ry), label in states.items():
+                labels = [
+                    states[(nx, ny)]
+                    for dx, nx in frac_digit_choices(rx, system)
+                    for dy, ny in frac_digit_choices(ry, system)
+                    if system.has_digit(dx + dy) and (nx, ny) in states
+                ]
+                assert ("alive" in labels) == (label == "alive"), (system, rx, ry)
 
     def test_denominator_ten_thousand_terminates(self):
         auto = MembershipAutomaton(BT, max_states=10**6)

@@ -307,6 +307,8 @@ class TestNumeralText:
             "[1.5]@3b0",
             "[1]@1b0",
             "[1]@3b2",
+            "[\u0663 \u0661]@\u0665b0",
+            "[\u0661]@3b0",
         ],
     )
     def test_parse_rejects(self, bad):
