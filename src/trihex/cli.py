@@ -17,6 +17,7 @@ from .dimension import box_count_estimate, report_to_json
 from .errors import DomainError, ResourceError
 from .fractal import (
     DEFAULT_MAX_SQUARES,
+    _rows,
     ifs_prefractal,
     member,
     prefractal_by_digits,
@@ -34,10 +35,21 @@ from .radix import (
 from .render import rasterize, write_pbm, write_svg
 
 _RATIONAL_RE = re.compile(r"\A[+-]?[0-9]+(/[0-9]+)?\Z")
+_INT_RE = re.compile(r"\A[+-]?[0-9]+\Z")
 
 
 class _UsageError(Exception):
     """Bad flag combination; reported like an argparse usage failure."""
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag value in ASCII digits: no Unicode digits, '_' or spaces."""
+    try:
+        if _INT_RE.match(text):
+            return int(text)
+    except ValueError:  # past Python's 4300-digit int/str limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -101,7 +113,7 @@ def _cmd_gen(args) -> int:
     if args.format == "json":
         data = prefractal_to_json(p) + "\n"
     elif args.format == "text":
-        data = "".join(f"{i} {j}\n" for i, j in p)
+        data = _rows("%d %d\n", *p.squares.T)
     elif args.format == "pbm":
         data = write_pbm(rasterize(p)[1])
     else:
@@ -133,12 +145,12 @@ def _cmd_verify(args) -> int:
 
 
 def _add_system_flags(parser, depth: bool = False) -> None:
-    parser.add_argument("--base", type=int, required=True, help="radix m (>= 2)")
-    parser.add_argument("--balance", type=int, default=0,
+    parser.add_argument("--base", type=_int_flag, required=True, help="radix m (>= 2)")
+    parser.add_argument("--balance", type=_int_flag, default=0,
                         help="balance offset b, 0 for the standard base (default 0)")
     if depth:
-        parser.add_argument("--depth", type=int, required=True, help="construction depth n")
-        parser.add_argument("--max-squares", type=int, default=DEFAULT_MAX_SQUARES,
+        parser.add_argument("--depth", type=_int_flag, required=True, help="construction depth n")
+        parser.add_argument("--max-squares", type=_int_flag, default=DEFAULT_MAX_SQUARES,
                             help=f"abort above this many squares (default {DEFAULT_MAX_SQUARES})")
 
 
@@ -151,10 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="integer -> numeral, or numeral -> rational")
-    p.add_argument("--int", dest="integer", type=int, help="integer to expand")
+    p.add_argument("--int", dest="integer", type=_int_flag, help="integer to expand")
     p.add_argument("--x", help="numeral to evaluate, e.g. '[1 0 . 2]@3b0'")
-    p.add_argument("--base", type=int, help="radix m (with --int)")
-    p.add_argument("--balance", type=int, default=0, help="balance offset b (with --int)")
+    p.add_argument("--base", type=_int_flag, help="radix m (with --int)")
+    p.add_argument("--balance", type=_int_flag, default=0, help="balance offset b (with --int)")
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("add", help="exact sum of two numerals of one system")

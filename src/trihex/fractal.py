@@ -96,10 +96,17 @@ def index_bounds(system: DigitSystem, depth: int) -> tuple[int, int]:
 
 def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
     """(lo, W) of the depth-n square key (i - lo) * W + (j - lo), W = hi - lo + 1."""
-    lo, hi = index_bounds(system, depth)
-    if (hi - lo + 1) ** 2 > 2**63:
-        raise DomainError(f"depth {depth} too deep for base {system}: keys overflow int64")
-    return lo, hi - lo + 1
+    # W = m^depth >= 2^depth, so past depth 31 the key overflows: reject before m^depth
+    if depth <= 31:
+        lo, hi = index_bounds(system, depth)
+        if (hi - lo + 1) ** 2 <= 2**63:
+            return lo, hi - lo + 1
+    raise DomainError(f"depth {depth} too deep for base {system}: keys overflow int64")
+
+
+def _rows(template: str, *columns: np.ndarray) -> str:
+    """`template % row` for each row of the given integer columns, concatenated."""
+    return "".join(map(template.__mod__, zip(*(c.tolist() for c in columns))))
 
 
 def _index_pairs(squares) -> np.ndarray:
@@ -117,7 +124,7 @@ def _index_pairs(squares) -> np.ndarray:
         return np.asarray(squares, dtype=np.int64)
     except OverflowError:
         raise DomainError("square index does not fit in int64") from None
-    except ValueError:
+    except (TypeError, ValueError):  # ragged rows, strings, JSON objects
         raise DomainError("squares must be an array of (i, j) pairs") from None
 
 
@@ -295,8 +302,9 @@ class MembershipAutomaton:
     exactly when an infinite digit path exists, i.e. when its state can
     reach a cycle of the finite reachable graph.  Every remainder keeps
     the denominator q = lcm of the inputs' denominators, so a state is
-    the integer triple (a, c, q) for (a/q, c/q).  Decided by collecting
-    the reachable states, then peeling dead ends: a state with no live
+    the integer triple (a, c, q) for (a/q, c/q), in lowest terms so that
+    equal points share one memo entry.  Decided by collecting the
+    reachable states, then peeling dead ends: a state with no live
     successor dies, and what survives can walk forever.
     """
 
@@ -314,8 +322,9 @@ class MembershipAutomaton:
 
     def _successors(self, state) -> list[tuple[int, int, int]]:
         a, c, q = state
+        # lowest terms; when already reduced, reuse q rather than build a new int per state
         return [
-            (nx, ny, q)
+            (nx, ny, q) if (g := math.gcd(nx, ny, q)) == 1 else (nx // g, ny // g, q // g)
             for dx, nx in _digit_window(a, q, self.system)
             for dy, ny in _digit_window(c, q, self.system)
             if self.system.has_digit(dx + dy)
@@ -381,21 +390,18 @@ def covers_point(p: Prefractal, x, y) -> bool:
 
 def prefractal_to_json(p: Prefractal) -> str:
     """One-line JSON export, squares lex-sorted, integers only."""
-    payload = {
-        "m": p.system.m,
-        "b": p.system.b,
-        "depth": p.depth,
-        "count": len(p),
-        "squares": p.squares.tolist(),
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    return (
+        f'{{"m":{p.system.m},"b":{p.system.b},"depth":{p.depth},"count":{len(p)},'
+        f'"squares":[{_rows("[%d,%d],", *p.squares.T)[:-1]}]}}'
+    )
 
 
 def prefractal_from_json(text: str) -> Prefractal:
     """Parse and validate a prefractal JSON export."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and integers past the 4300-digit limit
+    except (ValueError, RecursionError) as exc:
         raise DomainError(f"bad prefractal JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DomainError("bad prefractal JSON: expected an object")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fractal import Prefractal
+from .fractal import Prefractal, _rows
 
 __all__ = ["RasterSpec", "rasterize", "write_pbm", "write_svg"]
 
@@ -51,12 +51,11 @@ def write_pbm(bitmap) -> bytes:
     if bitmap.ndim != 2:
         raise DomainError("bitmap must be two-dimensional")
     h, w = bitmap.shape
-    lines = [b"P1", f"{w} {h}".encode("ascii")]
-    lines.extend(
-        " ".join("1" if v else "0" for v in row).encode("ascii")
-        for row in bitmap.tolist()
-    )
-    return b"\n".join(lines) + b"\n"
+    # each row is w digits and w - 1 spaces, then a newline (alone when w = 0)
+    rows = np.full((h, max(2 * w, 1)), ord(" "), dtype=np.uint8)
+    rows[:, :-1:2] = bitmap.astype(bool) + np.uint8(ord("0"))  # bool(v), also for objects
+    rows[:, -1] = ord("\n")
+    return f"P1\n{w} {h}\n".encode("ascii") + rows.tobytes()
 
 
 def write_svg(p: Prefractal) -> bytes:
@@ -64,17 +63,11 @@ def write_svg(p: Prefractal) -> bytes:
     squares = p.squares
     spec = _bounding_box(squares)
     (i_min, j_min), width, height = spec.origin, spec.width, spec.height
-    parts = [
-        b'<?xml version="1.0" encoding="UTF-8"?>',
-        (
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'viewBox="{i_min} {-(j_min + height)} {width} {height}" '
-            f'width="{width}" height="{height}">'
-        ).encode("ascii"),
-    ]
-    parts.extend(
-        f'<rect x="{a}" y="{-(c + 1)}" width="1" height="1"/>'.encode("ascii")
-        for a, c in squares.tolist()
-    )
-    parts.append(b"</svg>")
-    return b"\n".join(parts) + b"\n"
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{i_min} {-(j_min + height)} {width} {height}" '
+        f'width="{width}" height="{height}">\n'
+        + _rows('<rect x="%d" y="%d" width="1" height="1"/>\n', squares[:, 0], -1 - squares[:, 1])
+        + "</svg>\n"
+    ).encode("ascii")

@@ -168,6 +168,15 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "dim", "--base", "2", "--depth", "1", "--wat", "1")
         assert code == 2
 
+    def test_malformed_integer_flag_is_usage_error(self, capsys):
+        for argv in (("member", "--base", "abc", "--point", "0,0"),
+                     ("member", "--base", "\u0663", "--balance", "\u0661", "--point", "0,0"),
+                     ("convert", "--int=1_0", "--base", "2"),
+                     ("gen", "--base", "2", "--depth", " 1 ", "--format", "text"),
+                     ("dim", "--base", "2", "--depth", "1", "--max-squares", "1\u0660")):
+            code, out, _ = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+
     def test_convert_needs_exactly_one_input(self, capsys):
         code, _, err = invoke(capsys, "convert", "--base", "3")
         assert code == 2 and "usage error" in err

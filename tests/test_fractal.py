@@ -18,6 +18,7 @@ from trihex import (
     equivalence_check,
     expansions,
     frac_digit_choices,
+    fractal,
     ifs_prefractal,
     index_bounds,
     iterate,
@@ -273,6 +274,14 @@ class TestMembership:
         with pytest.raises(ResourceError):
             member(Fraction(1, 7), Fraction(1, 7), DigitSystem(2, 0), max_states=2)
 
+    def test_memo_shared_across_denominators(self):
+        # 1/6 walks through 1/3 and 2/3 under q = 6; in lowest terms a later
+        # root 1/3 is already decided, so the cap of 3 states is not hit
+        auto = MembershipAutomaton(DigitSystem(2, 0), max_states=3)
+        assert auto.decide(Fraction(1, 6), 0)
+        assert len(auto.states()) == 3
+        assert auto.decide(Fraction(1, 3), 0)
+
     def test_automaton_memoizes_and_reports_states(self):
         auto = MembershipAutomaton(DigitSystem(2, 0))
         assert auto.decide(Fraction(1, 2), Fraction(1, 2))
@@ -433,11 +442,24 @@ class TestJson:
             '{"m":2,"b":0,"depth":1,"count":1,"squares":[[36893488147419103232,0]]}',
             '{"m":3,"b":true,"depth":1,"count":1,"squares":[[0,0]]}',
             '{"m":2,"b":0,"depth":1,"count":1,"squares":[5]}',
+            '{"m":2,"b":0,"depth":1,"count":0,"squares":{}}',
+            pytest.param("[" * 100000, id="nested-past-recursion-limit"),
+            pytest.param('{"m":1%s,"b":0,"depth":1,"count":0,"squares":[]}' % ("0" * 4400),
+                         id="radix-past-4300-digits"),
         ],
     )
     def test_rejects_tampered(self, bad):
         with pytest.raises(DomainError):
             prefractal_from_json(bad)
+
+    def test_deep_depth_rejected_before_the_power(self, monkeypatch):
+        # W = m^depth >= 2^depth overflows past depth 31 whatever m is, so
+        # m^depth, which grows with the depth, is never built
+        monkeypatch.setattr(fractal, "index_bounds", None)
+        for depth in (32, 10**8, 10**30):
+            with pytest.raises(DomainError):
+                prefractal_from_json(
+                    '{"m":2,"b":0,"depth":%d,"count":0,"squares":[]}' % depth)
 
     def test_squares_are_plain_ints(self):
         text = prefractal_to_json(ifs_prefractal(BT, 1))

@@ -1,0 +1,102 @@
+"""The square writers against plain per-square and per-pixel reference formatters."""
+
+import json
+import random
+
+import numpy as np
+import pytest
+
+from trihex import (
+    DigitSystem,
+    Prefractal,
+    cli,
+    ifs_prefractal,
+    rasterize,
+    write_pbm,
+)
+
+
+def ref_json(p):
+    payload = {"m": p.system.m, "b": p.system.b, "depth": p.depth, "count": len(p),
+               "squares": [list(s) for s in p]}
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def ref_text(p):
+    return "".join(f"{i} {j}\n" for i, j in p)
+
+
+def ref_svg(p):
+    squares = list(p)
+    i_min, i_max = min(i for i, _ in squares), max(i for i, _ in squares)
+    j_min, j_max = min(j for _, j in squares), max(j for _, j in squares)
+    width, height = i_max - i_min + 1, j_max - j_min + 1
+    parts = [
+        b'<?xml version="1.0" encoding="UTF-8"?>',
+        (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+         f'viewBox="{i_min} {-(j_min + height)} {width} {height}" '
+         f'width="{width}" height="{height}">').encode("ascii"),
+    ]
+    parts.extend(f'<rect x="{a}" y="{-(c + 1)}" width="1" height="1"/>'.encode("ascii")
+                 for a, c in squares)
+    parts.append(b"</svg>")
+    return b"\n".join(parts) + b"\n"
+
+
+def ref_pbm(bitmap):
+    bitmap = np.asarray(bitmap)
+    h, w = bitmap.shape
+    lines = [b"P1", f"{w} {h}".encode("ascii")]
+    lines.extend(" ".join("1" if v else "0" for v in row).encode("ascii")
+                 for row in bitmap.tolist())
+    return b"\n".join(lines) + b"\n"
+
+
+def subsets():
+    """Random square subsets, with negative indices in the balanced systems,
+    single squares and empty sets among them."""
+    rng = random.Random(0x5EED)
+    for system, n in ((DigitSystem(2, 0), 4), (DigitSystem(3, 1), 4), (DigitSystem(5, 2), 3),
+                      (DigitSystem(4, 1), 3), (DigitSystem(3, 0), 0)):
+        full = list(ifs_prefractal(system, n))
+        for k in (0, 1, 2, len(full) // 3, len(full)):
+            yield Prefractal(system, n, rng.sample(full, min(k, len(full))))
+
+
+REFERENCE = {
+    "json": lambda p: (ref_json(p) + "\n").encode("ascii"),
+    "text": lambda p: ref_text(p).encode("ascii"),
+    "pbm": lambda p: ref_pbm(rasterize(p)[1]),
+    "svg": ref_svg,
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REFERENCE))
+@pytest.mark.parametrize("p", list(subsets()), ids=repr)
+def test_gen_matches_reference_on_stdout_and_out_file(p, fmt, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ifs_prefractal", lambda system, n, cap: p)
+    argv = ["gen", "--base", str(p.system.m), "--balance", str(p.system.b),
+            "--depth", str(p.depth), "--format", fmt]
+    if not len(p) and fmt in ("pbm", "svg"):
+        assert cli.run(argv) == 1
+        return
+    assert cli.run(argv) == 0
+    stdout = capsys.readouterr().out.encode("ascii")
+    target = tmp_path / "out"
+    assert cli.run([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert stdout == target.read_bytes() == REFERENCE[fmt](p)
+
+
+def test_pbm_matches_reference_on_any_values_and_shapes():
+    rng = np.random.default_rng(7)
+    bitmaps = [np.zeros((2, 0)), np.zeros((0, 3)), np.zeros((0, 0), dtype=np.uint8), [[1]],
+               [[-0.0, np.nan, np.inf]], [[1j, 0j]], np.array([[True], [False]]),
+               np.array([[None, 0, "a", "", 2]], dtype=object), np.array([["a", ""]])]
+    bitmaps += [rng.integers(-2, 4, size=shape).astype(dtype)
+                for shape in ((1, 7), (5, 1), (6, 9))
+                for dtype in (np.int8, np.uint8, np.int64, np.float32)]
+    for bitmap in bitmaps:
+        assert write_pbm(bitmap) == ref_pbm(bitmap), bitmap
+    assert write_pbm(np.zeros((2, 0))) == b"P1\n0 2\n\n\n"
+    assert write_pbm(np.zeros((0, 3))) == b"P1\n3 0\n"
