@@ -322,9 +322,8 @@ class MembershipAutomaton:
 
     def _successors(self, state) -> list[tuple[int, int, int]]:
         a, c, q = state
-        # lowest terms; when already reduced, reuse q rather than build a new int per state
         return [
-            (nx, ny, q) if (g := math.gcd(nx, ny, q)) == 1 else (nx // g, ny // g, q // g)
+            (nx // (g := math.gcd(nx, ny, q)), ny // g, q // g)
             for dx, nx in _digit_window(a, q, self.system)
             for dy, ny in _digit_window(c, q, self.system)
             if self.system.has_digit(dx + dy)
