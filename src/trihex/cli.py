@@ -4,6 +4,9 @@ the construction equivalence check.
 
 Exit codes: 0 success, 1 domain/resource/file error or a number past
 Python's int/str digit limit (one-line diagnostic on stderr), 2 usage error.
+
+Only the commands that build square sets (gen, render, dim, verify) import
+numpy, inside their handlers; the numeral and member commands run without it.
 """
 
 from __future__ import annotations
@@ -13,16 +16,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .dimension import box_count_estimate, report_to_json
-from .errors import DomainError, ResourceError
-from .fractal import (
-    DEFAULT_MAX_SQUARES,
-    _rows,
-    ifs_prefractal,
-    member,
-    prefractal_by_digits,
-    prefractal_to_json,
-)
+from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
+from .membership import member
 from .radix import (
     DigitSystem,
     add,
@@ -32,7 +27,6 @@ from .radix import (
     int_to_digits,
     parse_numeral,
 )
-from .render import rasterize, write_pbm, write_svg
 
 _RATIONAL_RE = re.compile(r"\A[+-]?[0-9]+(/[0-9]+)?\Z")
 _INT_RE = re.compile(r"\A[+-]?[0-9]+\Z")
@@ -108,6 +102,9 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .fractal import _rows, ifs_prefractal, prefractal_to_json
+    from .render import rasterize, write_pbm, write_svg
+
     system = DigitSystem(args.base, args.balance)
     p = ifs_prefractal(system, args.depth, args.max_squares)
     if args.format == "json":
@@ -123,6 +120,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    from .dimension import box_count_estimate, report_to_json
+
     system = DigitSystem(args.base, args.balance)
     report = box_count_estimate(system, args.depth, args.max_squares)
     print(report_to_json(report))
@@ -130,6 +129,8 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .fractal import ifs_prefractal, prefractal_by_digits
+
     system = DigitSystem(args.base, args.balance)
     geometric = ifs_prefractal(system, args.depth, args.max_squares)
     digitwise = prefractal_by_digits(system, args.depth, args.max_squares)

@@ -1,4 +1,4 @@
-"""Exception types shared by all trihex modules."""
+"""Exception types shared by all trihex modules, and the default square cap."""
 
 
 class DomainError(ValueError):
@@ -7,3 +7,6 @@ class DomainError(ValueError):
 
 class ResourceError(RuntimeError):
     """Raised when a computation would exceed a configured resource cap."""
+
+
+DEFAULT_MAX_SQUARES = 10**7  # square cap of the constructions, ResourceError above it

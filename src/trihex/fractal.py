@@ -1,11 +1,11 @@
-"""Depth-n prefractals on the m-adic grid and exact membership decisions.
+"""Depth-n prefractals on the m-adic grid.
 
 Two independent constructions of the same square sets are provided: the
 geometric route (each square spawns one child per generator-lattice
 shift) and the digit route (keep exactly the index pairs whose digitwise
 sums stay inside the alphabet).  `equivalence_check` compares them as
-sets.  Membership of an exact rational point in the limit set is decided
-by searching the finite graph of integer remainder pairs for a reachable cycle.
+sets.  The membership search lives in the numpy-free `trihex.membership`
+and is re-exported here.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
-from .radix import DigitSystem, _digit_window
+from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
+from .membership import MembershipAutomaton, member
+from .radix import DigitSystem
 
 __all__ = [
     "DEFAULT_MAX_SQUARES",
@@ -40,8 +41,6 @@ __all__ = [
     "prefractal_to_json",
     "prefractal_from_json",
 ]
-
-DEFAULT_MAX_SQUARES = 10**7
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ class Prefractal:
             raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
         lo, width = _key_frame(system, depth)
         arr = _index_pairs(squares)
-        if arr.size == 0:
+        if arr.shape == (0,):  # [] is the empty set; rows of any other length are not pairs
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise DomainError("squares must be an array of (i, j) pairs")
@@ -291,88 +290,6 @@ def equivalence_check(system: DigitSystem, n: int,
                       max_squares: int | None = DEFAULT_MAX_SQUARES) -> bool:
     """Whether the geometric and digit constructions agree as square sets."""
     return ifs_prefractal(system, n, max_squares) == prefractal_by_digits(system, n, max_squares)
-
-
-class MembershipAutomaton:
-    """Memoized search over remainder pairs deciding limit-set membership.
-
-    From state (rx, ry), a digit pair (dx, dy) with dx + dy inside the
-    alphabet leads to (m*rx - dx, m*ry - dy); both remainders must stay
-    in the value interval.  The start point belongs to the limit set
-    exactly when an infinite digit path exists, i.e. when its state can
-    reach a cycle of the finite reachable graph.  Every remainder keeps
-    the denominator q = lcm of the inputs' denominators, so a state is
-    the integer triple (a, c, q) for (a/q, c/q), in lowest terms so that
-    equal points share one memo entry.  Decided by collecting the
-    reachable states, then peeling dead ends: a state with no live
-    successor dies, and what survives can walk forever.
-    """
-
-    def __init__(self, system: DigitSystem, max_states: int = 10**6):
-        self.system = system
-        self.max_states = max_states
-        self._alive: dict[tuple[int, int, int], bool] = {}
-
-    def states(self) -> dict[tuple[Fraction, Fraction], str]:
-        """Visited remainder pairs mapped to 'alive' or 'dead'."""
-        return {
-            (Fraction(a, q), Fraction(c, q)): ("alive" if ok else "dead")
-            for (a, c, q), ok in self._alive.items()
-        }
-
-    def _successors(self, state) -> list[tuple[int, int, int]]:
-        a, c, q = state
-        return [
-            (nx // (g := math.gcd(nx, ny, q)), ny // g, q // g)
-            for dx, nx in _digit_window(a, q, self.system)
-            for dy, ny in _digit_window(c, q, self.system)
-            if self.system.has_digit(dx + dy)
-        ]
-
-    def decide(self, x, y) -> bool:
-        """Exact membership of the rational point (x, y)."""
-        x, y = Fraction(x), Fraction(y)
-        iv = self.system.interval()
-        if not (iv.contains(x) and iv.contains(y)):
-            return False
-        q = math.lcm(x.denominator, y.denominator)
-        root = (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator), q)
-        alive = self._alive
-        if root in alive:
-            return alive[root]
-        # collect the undecided reachable states with their predecessors,
-        # and for each the count of its successors not known dead
-        preds = {root: []}
-        live = {}
-        todo = [root]
-        while todo:
-            state = todo.pop()
-            nexts = [t for t in self._successors(state) if alive.get(t, True)]
-            live[state] = len(nexts)
-            for t in nexts:
-                if t in alive:
-                    continue
-                if t not in preds:
-                    if len(alive) + len(preds) >= self.max_states:
-                        raise ResourceError(f"membership search exceeded {self.max_states} states")
-                    preds[t] = []
-                    todo.append(t)
-                preds[t].append(state)
-        # peel dead ends: a state whose live count reaches 0 dies
-        dead = [s for s, n in live.items() if not n]
-        for s in dead:
-            for p in preds[s]:
-                live[p] -= 1
-                if not live[p]:
-                    dead.append(p)
-        for s, n in live.items():
-            alive[s] = n > 0
-        return alive[root]
-
-
-def member(x, y, system: DigitSystem, max_states: int = 10**6) -> bool:
-    """Exact membership of the rational point (x, y) in the limit set."""
-    return MembershipAutomaton(system, max_states).decide(x, y)
 
 
 def covers_point(p: Prefractal, x, y) -> bool:

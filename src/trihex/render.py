@@ -47,7 +47,10 @@ def rasterize(p: Prefractal) -> tuple[RasterSpec, np.ndarray]:
 
 def write_pbm(bitmap) -> bytes:
     """Plain PBM (magic P1, ASCII); set pixel = 1 = black."""
-    bitmap = np.asarray(bitmap)
+    try:
+        bitmap = np.asarray(bitmap)
+    except ValueError:  # ragged rows
+        raise DomainError("bitmap rows must all have one length") from None
     if bitmap.ndim != 2:
         raise DomainError("bitmap must be two-dimensional")
     h, w = bitmap.shape

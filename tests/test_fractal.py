@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from conftest import legal_systems
 
@@ -101,6 +102,13 @@ class TestPrefractal:
         with pytest.raises(DomainError):
             Prefractal(DigitSystem(2, 0), 1, [(-1, 0)])
         Prefractal(BT, 1, [(-1, 1)])  # negative indices fine when balanced
+
+    def test_constructor_empty_only_as_no_pairs(self):
+        for empty in ([], (), np.empty((0, 2), dtype=np.int64)):
+            assert len(Prefractal(DigitSystem(2, 0), 1, empty)) == 0
+        for bad in ([[], []], np.empty((2, 0), dtype=np.int64), np.empty((0, 3), dtype=np.int64)):
+            with pytest.raises(DomainError):
+                Prefractal(DigitSystem(2, 0), 1, bad)
 
     def test_index_bounds(self):
         assert index_bounds(DigitSystem(2, 0), 3) == (0, 7)
@@ -443,6 +451,8 @@ class TestJson:
             '{"m":3,"b":true,"depth":1,"count":1,"squares":[[0,0]]}',
             '{"m":2,"b":0,"depth":1,"count":1,"squares":[5]}',
             '{"m":2,"b":0,"depth":1,"count":0,"squares":{}}',
+            '{"m":2,"b":0,"depth":1,"count":0,"squares":[[]]}',
+            '{"m":2,"b":0,"depth":1,"count":0,"squares":[[],[]]}',
             pytest.param("[" * 100000, id="nested-past-recursion-limit"),
             pytest.param('{"m":1%s,"b":0,"depth":1,"count":0,"squares":[]}' % ("0" * 4400),
                          id="radix-past-4300-digits"),

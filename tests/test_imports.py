@@ -1,0 +1,103 @@
+"""Lazy package exports, and numpy kept out of the numeral and member commands."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import trihex
+from trihex.cli import run
+
+SUBMODULES = ("errors", "radix", "membership", "fractal", "dimension", "render", "cli")
+
+NUMPY_GUARD = """
+import contextlib, io, sys, trihex.cli
+numeral_and_member = [
+    ["member", "--base", "3", "--balance", "1", "--point=-1/3,1/3"],
+    ["convert", "--int", "14", "--base", "3", "--balance", "1"],
+    ["convert", "--x", "[1 0 . 2]@3b0"],
+    ["add", "--x", "[1 0 . 2]@3b0", "--y", "[2 1 . 1]@3b0"],
+    ["carryfree", "--x", "[0 . 1]@2b0", "--y", "[0 . 0 1]@2b0"],
+]
+for argv in numeral_and_member:
+    assert trihex.cli.run(argv) == 0, argv
+print("numpy after numeral and member commands:", "numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert trihex.cli.run(["gen", "--base", "2", "--depth", "2", "--format", "text"]) == 0
+print("numpy after gen:", "numpy" in sys.modules)
+"""
+
+
+def test_numeral_and_member_commands_run_without_numpy():
+    src = str(Path(trihex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", NUMPY_GUARD], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    assert out.splitlines() == [
+        "true", "[1 -1 -1 -1]@3b1", "11/3", "[1 0 2]@3b0", "true",
+        "numpy after numeral and member commands: False",
+        "numpy after gen: True",  # gen does load it, so the check above is not vacuous
+    ]
+
+
+def test_every_export_is_its_submodule_object():
+    modules = [importlib.import_module(f"trihex.{name}") for name in SUBMODULES]
+    for name in trihex.__all__:
+        value = getattr(trihex, name)
+        homes = [m for m in modules if hasattr(m, name)]
+        assert homes, name
+        assert all(getattr(m, name) is value for m in homes), name
+
+
+def test_dir_and_star_import_list_every_export():
+    assert set(trihex.__all__) <= set(dir(trihex))
+    namespace = {}
+    exec("from trihex import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(trihex.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        trihex.no_such_name  # noqa: B018
+    assert not hasattr(trihex, "MAX_SQUARES")
+
+
+HELP = {
+    "gen": """\
+usage: trihex gen [-h] --base BASE [--balance BALANCE] --depth DEPTH
+                  [--max-squares MAX_SQUARES] [--format {json,text,pbm,svg}]
+                  [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --base BASE           radix m (>= 2)
+  --balance BALANCE     balance offset b, 0 for the standard base (default 0)
+  --depth DEPTH         construction depth n
+  --max-squares MAX_SQUARES
+                        abort above this many squares (default 10000000)
+  --format {json,text,pbm,svg}
+  --out OUT             output path (default: stdout)
+""",
+    "dim": """\
+usage: trihex dim [-h] --base BASE [--balance BALANCE] --depth DEPTH
+                  [--max-squares MAX_SQUARES]
+
+options:
+  -h, --help            show this help message and exit
+  --base BASE           radix m (>= 2)
+  --balance BALANCE     balance offset b, 0 for the standard base (default 0)
+  --depth DEPTH         construction depth n
+  --max-squares MAX_SQUARES
+                        abort above this many squares (default 10000000)
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_keeps_the_square_cap_default(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([command, "--help"]) == 0
+    assert capsys.readouterr().out == HELP[command]

@@ -69,6 +69,10 @@ class TestPbm:
         with pytest.raises(DomainError):
             write_pbm([1, 0, 1])
 
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(DomainError):
+            write_pbm([[1], [1, 0]])
+
 
 class TestSvg:
     def test_depth_zero_single_rect(self):

@@ -74,7 +74,7 @@ REFERENCE = {
 @pytest.mark.parametrize("fmt", sorted(REFERENCE))
 @pytest.mark.parametrize("p", list(subsets()), ids=repr)
 def test_gen_matches_reference_on_stdout_and_out_file(p, fmt, capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "ifs_prefractal", lambda system, n, cap: p)
+    monkeypatch.setattr("trihex.fractal.ifs_prefractal", lambda system, n, cap: p)
     argv = ["gen", "--base", str(p.system.m), "--balance", str(p.system.b),
             "--depth", str(p.depth), "--format", fmt]
     if not len(p) and fmt in ("pbm", "svg"):
