@@ -12,9 +12,12 @@ numpy, inside their handlers; the numeral and member commands run without it.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .membership import member
@@ -63,12 +66,13 @@ def _parse_point(text: str) -> tuple[Fraction, Fraction]:
     return _parse_rational(parts[0]), _parse_rational(parts[1])
 
 
-def _emit(data: bytes | str, out: str | None) -> None:
-    if out:
+def _emit(chunks: Iterable[bytes], out: str | None) -> None:
+    """Write ASCII chunks to the out path, else to sys.stdout, a text stream (maybe a StringIO)."""
+    if out is not None:
         with open(out, "wb") as handle:
-            handle.write(data.encode("ascii") if isinstance(data, str) else data)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(data if isinstance(data, str) else data.decode("ascii"))
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
 
 
 def _cmd_convert(args) -> int:
@@ -102,20 +106,20 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .fractal import _rows, ifs_prefractal, prefractal_to_json
-    from .render import rasterize, write_pbm, write_svg
+    from .fractal import _json_chunks, _rows, _square_blocks, ifs_prefractal
+    from .render import _pbm_chunks, _svg_chunks, rasterize
 
     system = DigitSystem(args.base, args.balance)
     p = ifs_prefractal(system, args.depth, args.max_squares)
     if args.format == "json":
-        data = prefractal_to_json(p) + "\n"
+        chunks = chain(_json_chunks(p), [b"\n"])
     elif args.format == "text":
-        data = _rows("%d %d\n", *p.squares.T)
+        chunks = (_rows(b"%d %d\n", i, j) for i, j in _square_blocks(p))
     elif args.format == "pbm":
-        data = write_pbm(rasterize(p)[1])
+        chunks = _pbm_chunks(rasterize(p)[1])
     else:
-        data = write_svg(p)
-    _emit(data, args.out)
+        chunks = _svg_chunks(p)
+    _emit(chunks, args.out)
     return 0
 
 
@@ -216,7 +220,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # so a write to a closed pipe is reported here, once
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -227,7 +234,13 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:  # run reported it; drop the unwritten rest, or exit fails on it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

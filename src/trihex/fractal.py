@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -103,9 +103,12 @@ def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
     raise DomainError(f"depth {depth} too deep for base {system}: keys overflow int64")
 
 
-def _rows(template: str, *columns: np.ndarray) -> str:
+_BLOCK = 65536  # squares per writer chunk, so a writer's memory does not grow with its output
+
+
+def _rows(template: bytes, *columns: np.ndarray) -> bytes:
     """`template % row` for each row of the given integer columns, concatenated."""
-    return "".join(map(template.__mod__, zip(*(c.tolist() for c in columns))))
+    return b"".join(map(template.__mod__, zip(*(c.tolist() for c in columns))))
 
 
 def _index_pairs(squares) -> np.ndarray:
@@ -198,6 +201,14 @@ class Prefractal:
         key = (i - lo) * width + (j - lo)
         pos = int(np.searchsorted(self._keys, key))
         return pos < len(self) and self._keys[pos] == key
+
+
+def _square_blocks(p: Prefractal) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (i, j) columns of p's squares in key order, _BLOCK squares at a time."""
+    lo, width = _key_frame(p.system, p.depth)
+    for start in range(0, len(p), _BLOCK):
+        i, j = np.divmod(p._keys[start : start + _BLOCK], width)
+        yield i + lo, j + lo
 
 
 def unit_square(system: DigitSystem) -> Prefractal:
@@ -304,12 +315,21 @@ def covers_point(p: Prefractal, x, y) -> bool:
     return any(p.has_square(i, j) for i in candidates(x) for j in candidates(y))
 
 
+def _json_chunks(p: Prefractal) -> Iterator[bytes]:
+    """prefractal_to_json as ASCII chunks: the header, _BLOCK squares a chunk, the trailer."""
+    yield (
+        f'{{"m":{p.system.m},"b":{p.system.b},"depth":{p.depth},"count":{len(p)},'
+        '"squares":['
+    ).encode("ascii")
+    for n, (i, j) in enumerate(_square_blocks(p)):
+        rows = _rows(b",[%d,%d]", i, j)
+        yield rows if n else rows[1:]  # no comma before the first square
+    yield b"]}"
+
+
 def prefractal_to_json(p: Prefractal) -> str:
     """One-line JSON export, squares lex-sorted, integers only."""
-    return (
-        f'{{"m":{p.system.m},"b":{p.system.b},"depth":{p.depth},"count":{len(p)},'
-        f'"squares":[{_rows("[%d,%d],", *p.squares.T)[:-1]}]}}'
-    )
+    return b"".join(_json_chunks(p)).decode("ascii")
 
 
 def prefractal_from_json(text: str) -> Prefractal:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trihex
 from trihex import prefractal_from_json, ifs_prefractal, DigitSystem
 from trihex.cli import run
 
@@ -114,12 +119,27 @@ class TestGen:
         assert prefractal_from_json(target.read_text()) == ifs_prefractal(DigitSystem(3, 1), 1)
 
     def test_unwritable_out_is_one_line_error(self, capsys, tmp_path):
-        target = str(tmp_path / "missing" / "x")
-        for command in ("gen", "render"):
-            code, out, err = invoke(capsys, command, "--base", "2", "--depth", "1",
-                                    "--out", target)
-            assert (code, out) == (1, "")
-            assert err.startswith("error:") and err.count("\n") == 1
+        for target in (str(tmp_path / "missing" / "x"), ""):
+            for command in ("gen", "render"):
+                code, out, err = invoke(capsys, command, "--base", "2", "--depth", "1",
+                                        "--out", target)
+                assert (code, out) == (1, "")
+                assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_closed_stdout_is_one_line_error(self):
+        # the reader stops after one line of a multi-block output, larger than a pipe holds
+        src = str(Path(trihex.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "trihex.cli", "gen", "--base", "2", "--depth", "12",
+             "--format", "text"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        ) as proc:
+            assert proc.stdout.readline() == b"0 0\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b"error: [Errno 32] Broken pipe\n"
 
     def test_max_squares_cap(self, capsys):
         code, _, err = invoke(capsys, "gen", "--base", "2", "--balance", "0", "--depth", "10",

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,3 +101,45 @@ def test_pbm_matches_reference_on_any_values_and_shapes():
         assert write_pbm(bitmap) == ref_pbm(bitmap), bitmap
     assert write_pbm(np.zeros((2, 0))) == b"P1\n0 2\n\n\n"
     assert write_pbm(np.zeros((0, 3))) == b"P1\n3 0\n"
+
+
+def seam_sets():
+    """Nonempty subsets, and one column of squares, whose PBM blocks hold several rows."""
+    yield from (p for p in subsets() if len(p))
+    full = ifs_prefractal(DigitSystem(2, 0), 4)
+    yield Prefractal(full.system, full.depth, [s for s in full if s[0] == 0])
+
+
+@pytest.mark.parametrize("fmt", sorted(REFERENCE))
+@pytest.mark.parametrize("block", (1, 2, 3))
+def test_chunk_seams_match_reference(block, fmt, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("trihex.fractal._BLOCK", block)
+    target = tmp_path / "out"
+    for p in seam_sets():
+        monkeypatch.setattr("trihex.fractal.ifs_prefractal", lambda system, n, cap, p=p: p)
+        argv = ["gen", "--base", str(p.system.m), "--balance", str(p.system.b),
+                "--depth", str(p.depth), "--format", fmt]
+        assert cli.run(argv) == 0
+        stdout = capsys.readouterr().out.encode("ascii")
+        assert cli.run([*argv, "--out", str(target)]) == 0
+        assert stdout == target.read_bytes() == REFERENCE[fmt](p), p
+
+
+def traced_peak(work):
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "svg"])
+def test_writer_memory_stays_near_the_square_set(fmt, tmp_path, monkeypatch):
+    """Writing costs about what building the set costs: no copy of the whole output."""
+    monkeypatch.setattr("trihex.fractal._BLOCK", 1024)
+    build = traced_peak(lambda: ifs_prefractal(DigitSystem(3, 1), 6))
+    argv = ["gen", "--base", "3", "--balance", "1", "--depth", "6", "--format", fmt,
+            "--out", str(tmp_path / "out")]
+    write = traced_peak(lambda: cli.run(argv))
+    assert write <= 1.5 * build, (write, build)
