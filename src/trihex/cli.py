@@ -12,6 +12,7 @@ numpy, inside their handlers; the numeral and member commands run without it.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
@@ -220,8 +221,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
     try:
+        if sys.stdout is None and getattr(args, "out", None) is None:  # started with stdout closed
+            raise OSError("standard output is closed")
         code = args.func(args)
-        if sys.stdout is not None:  # None when started with stdout closed
+        if sys.stdout is not None:  # None when started with stdout closed (gen --out)
             sys.stdout.flush()  # so a write to a closed pipe is reported here, once
         return code
     except _UsageError as exc:
@@ -234,6 +237,10 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    raw = getattr(sys.stdout, "buffer", None)
+    if isinstance(raw, io.RawIOBase):  # python -u: a raw write may stop short without an error
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(raw), sys.stdout.encoding,
+                                      write_through=True)
     code = run(sys.argv[1:])
     try:
         if sys.stdout is not None:

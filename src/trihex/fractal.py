@@ -95,6 +95,8 @@ def index_bounds(system: DigitSystem, depth: int) -> tuple[int, int]:
 
 def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
     """(lo, W) of the depth-n square key (i - lo) * W + (j - lo), W = hi - lo + 1."""
+    if type(depth) is not int or depth < 0:  # the one depth gate for square sets; bool is no depth
+        raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
     # W = m^depth >= 2^depth, so past depth 31 the key overflows: reject before m^depth
     if depth <= 31:
         lo, hi = index_bounds(system, depth)
@@ -143,8 +145,6 @@ class Prefractal:
     __slots__ = ("system", "depth", "_keys")
 
     def __init__(self, system: DigitSystem, depth: int, squares):
-        if type(depth) is not int or depth < 0:
-            raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
         lo, width = _key_frame(system, depth)
         arr = _index_pairs(squares)
         if arr.shape == (0,):  # [] is the empty set; rows of any other length are not pairs
@@ -242,13 +242,15 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
 
 def ifs_prefractal(system: DigitSystem, n: int,
                    max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
-    """Iterate the unit square n times through the generator lattice."""
-    if n < 0:
-        raise DomainError(f"depth must be nonnegative, got {n}")
+    """Iterate the unit square n times through the generator lattice, gated before any square."""
+    _key_frame(system, n)
     lat = lattice(system.m, system.b)
+    # len(lat) >= 3, so the last level is the largest: one cap check covers them all
+    if max_squares is not None and n and len(lat) ** n > max_squares:
+        raise ResourceError(f"depth {n} needs {len(lat)**n} squares, over the cap {max_squares}")
     p = unit_square(system)
     for _ in range(n):
-        p = iterate(p, lat, max_squares)
+        p = iterate(p, lat, None)
     return p
 
 
@@ -275,13 +277,11 @@ def prefractal_by_digits(system: DigitSystem, n: int,
     the alphabet.  This scans all m^n x m^n index pairs, independently of
     the geometric iteration.
     """
-    if n < 0:
-        raise DomainError(f"depth must be nonnegative, got {n}")
+    lo, width = _key_frame(system, n)
     if max_squares is not None:
         expected = lattice_cardinality(system.m, system.b) ** n
-        if expected > max_squares or system.m ** (2 * n) > 32 * max_squares:
+        if expected > max_squares or width * width > 32 * max_squares:
             raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
-    lo, width = _key_frame(system, n)
     digits = _digit_matrix(np.arange(lo, lo + width, dtype=np.int64), system, n)
     d_lo, d_hi = system.min_digit, system.max_digit
     keys = []

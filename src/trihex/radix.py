@@ -110,7 +110,7 @@ class DigitString:
         if digits:
             items = digits.items() if hasattr(digits, "items") else digits
             for e, d in items:
-                if not isinstance(e, int) or not isinstance(d, int):
+                if type(e) is not int or type(d) is not int:  # bool is not a digit
                     raise DomainError("exponents and digits must be integers")
                 if not system.has_digit(d):
                     raise DomainError(f"digit {d} outside alphabet of base {system}")
@@ -243,6 +243,15 @@ def _digit_window(a: int, q: int, system: DigitSystem) -> list[tuple[int, int]]:
     return [(d, m * a - d * q) for d in range(max(low, -b), min(f, m - 1 - b) + 1)]
 
 
+def _remainder(r, system: DigitSystem) -> tuple[int, int]:
+    """r as (numerator, denominator), after the one check that r is in the value interval."""
+    r = Fraction(r)
+    iv = ValueInterval.of(system)
+    if not iv.contains(r):
+        raise DomainError(f"{r} outside value interval [{iv.lo}, {iv.hi}] of base {system}")
+    return r.numerator, r.denominator
+
+
 def frac_digit_choices(r, system: DigitSystem) -> list[tuple[int, Fraction]]:
     """Digits that can start a fractional expansion of r, with remainders.
 
@@ -251,42 +260,24 @@ def frac_digit_choices(r, system: DigitSystem) -> list[tuple[int, Fraction]]:
     two choices; two only when the remainder lands on an endpoint.
     Returned in ascending digit order.
     """
-    r = Fraction(r)
-    iv = ValueInterval.of(system)
-    if not iv.contains(r):
-        raise DomainError(f"{r} outside value interval [{iv.lo}, {iv.hi}] of base {system}")
-    q = r.denominator
-    return [(d, Fraction(n, q)) for d, n in _digit_window(r.numerator, q, system)]
+    a, q = _remainder(r, system)
+    return [(d, Fraction(n, q)) for d, n in _digit_window(a, q, system)]
 
 
 def expansions(r, system: DigitSystem, depth: int) -> list[DigitString]:
     """All distinct depth-digit prefixes of fractional expansions of r.
 
     Prefixes occupy exponents -1 .. -depth and are returned in ascending
-    digit order (depth-first, smallest digit branch first).
+    digit order, most significant first; at most two are alive at any depth.
     """
-    if depth < 0:
-        raise DomainError(f"depth must be nonnegative, got {depth}")
-    r = Fraction(r)
-    iv = ValueInterval.of(system)
-    if not iv.contains(r):
-        raise DomainError(f"{r} outside value interval [{iv.lo}, {iv.hi}] of base {system}")
-    found: list[DigitString] = []
-
-    def walk(acc: dict, rem: Fraction, k: int) -> None:
-        if k == depth:
-            found.append(DigitString(system, dict(acc)))
-            return
-        for d, nxt in frac_digit_choices(rem, system):
-            if d:
-                acc[-(k + 1)] = d
-                walk(acc, nxt, k + 1)
-                del acc[-(k + 1)]
-            else:
-                walk(acc, nxt, k + 1)
-
-    walk({}, r, 0)
-    return found
+    if type(depth) is not int or depth < 0:
+        raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
+    a, q = _remainder(r, system)
+    prefixes = [((), a)]  # (digits from exponent -1 down, remainder numerator over q)
+    for _ in range(depth):
+        prefixes = [(ds + (d,), nxt) for ds, num in prefixes
+                    for d, nxt in _digit_window(num, q, system)]
+    return [DigitString(system, zip(range(-1, -depth - 1, -1), ds)) for ds, _ in prefixes]
 
 
 # Numeral text format: space-separated ASCII decimal digits inside brackets, an

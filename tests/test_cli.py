@@ -11,6 +11,12 @@ from trihex import prefractal_from_json, ifs_prefractal, DigitSystem
 from trihex.cli import run
 
 
+def _src_path():
+    """PYTHONPATH for a child `python -m trihex.cli`, with this checkout's trihex first."""
+    src = str(Path(trihex.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -127,19 +133,41 @@ class TestGen:
                 assert err.startswith("error:") and err.count("\n") == 1
 
     def test_closed_stdout_is_one_line_error(self):
-        # the reader stops after one line of a multi-block output, larger than a pipe holds
-        src = str(Path(trihex.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        with subprocess.Popen(
-            [sys.executable, "-m", "trihex.cli", "gen", "--base", "2", "--depth", "12",
-             "--format", "text"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
-        ) as proc:
-            assert proc.stdout.readline() == b"0 0\n"
-            proc.stdout.close()
-            err = proc.stderr.read()
-            assert proc.wait(timeout=60) == 1
-        assert err == b"error: [Errno 32] Broken pipe\n"
+        # the reader stops after one line of a multi-block output, larger than a pipe holds;
+        # unbuffered (python -u), stdout is a raw file whose writes may stop short silently
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for depth, extra in (("12", {}), ("10", {"PYTHONUNBUFFERED": "1"})):
+            with subprocess.Popen(
+                [sys.executable, "-m", "trihex.cli", "gen", "--base", "2", "--depth", depth,
+                 "--format", "text"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**env, **extra, "PYTHONPATH": _src_path()},
+            ) as proc:
+                assert proc.stdout.readline() == b"0 0\n"
+                proc.stdout.close()
+                err = proc.stderr.read()
+                assert proc.wait(timeout=60) == 1
+            assert err == b"error: [Errno 32] Broken pipe\n"
+
+    def test_stdout_closed_at_start(self, tmp_path):
+        def closed_stdout(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "trihex.cli", *argv], stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": _src_path()},
+                preexec_fn=lambda: os.close(1), timeout=60,
+            )
+
+        for argv in (("gen", "--base", "2", "--depth", "1"),
+                     ("member", "--base", "2", "--point", "1/2,1/2"),
+                     ("convert", "--int", "5", "--base", "2")):
+            proc = closed_stdout(*argv)
+            assert proc.returncode == 1
+            assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1
+        target = tmp_path / "h.txt"
+        proc = closed_stdout("gen", "--base", "2", "--depth", "1", "--format", "text",
+                             "--out", str(target))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert target.read_text() == "0 0\n0 1\n1 0\n"
 
     def test_max_squares_cap(self, capsys):
         code, _, err = invoke(capsys, "gen", "--base", "2", "--balance", "0", "--depth", "10",

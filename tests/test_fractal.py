@@ -14,6 +14,7 @@ from trihex import (
     MembershipAutomaton,
     Prefractal,
     ResourceError,
+    box_count_estimate,
     carry_free,
     covers_point,
     equivalence_check,
@@ -183,6 +184,27 @@ class TestIterate:
             for n in range(1, 5):
                 p = iterate(p, lat)
                 assert len(p) == ell**n
+
+
+class TestEntryGates:
+    def test_depth_must_be_a_nonnegative_int(self):
+        builds = (ifs_prefractal, prefractal_by_digits, box_count_estimate,
+                  lambda system, depth: Prefractal(system, depth, []),
+                  lambda system, depth: expansions(0, system, depth))
+        for depth in (2.0, True, -1):
+            for build in builds:
+                with pytest.raises(DomainError):
+                    build(DigitSystem(2, 0), depth)
+
+    def test_over_cap_rejected_before_any_square(self, monkeypatch):
+        def no_iterate(*args):
+            raise AssertionError("iterate called past the cap")
+
+        monkeypatch.setattr(fractal, "iterate", no_iterate)
+        with pytest.raises(ResourceError, match="depth 20 needs 3486784401 squares"):
+            ifs_prefractal(DigitSystem(2, 0), 20)
+        with pytest.raises(ResourceError, match="depth 10 "):
+            ifs_prefractal(DigitSystem(2, 0), 10, max_squares=100)
 
 
 class TestDigitConstruction:
@@ -470,6 +492,9 @@ class TestJson:
             with pytest.raises(DomainError):
                 prefractal_from_json(
                     '{"m":2,"b":0,"depth":%d,"count":0,"squares":[]}' % depth)
+            for build in (ifs_prefractal, prefractal_by_digits):
+                with pytest.raises(DomainError):
+                    build(DigitSystem(2, 0), depth)
 
     def test_squares_are_plain_ints(self):
         text = prefractal_to_json(ifs_prefractal(BT, 1))

@@ -68,6 +68,9 @@ class TestDigitString:
             DigitString(DigitSystem(2, 0), {0: 2})
         with pytest.raises(DomainError):
             DigitString(BT, {0: -2})
+        for bools in ({0: True}, {True: 1}):  # would print as [True]@2b0, which no parser takes
+            with pytest.raises(DomainError):
+                DigitString(DigitSystem(2, 0), bools)
 
     def test_zero(self):
         z = DigitString(BT)
@@ -241,6 +244,13 @@ class TestExpansions:
     def test_negative_depth(self):
         with pytest.raises(DomainError):
             expansions(0, BT, -1)
+
+    def test_deep_expansions(self):
+        # one digit per step, not one stack frame: far past the recursion limit
+        (third,) = expansions(Fraction(1, 3), DigitSystem(2, 0), 5000)
+        assert third.min_exponent >= -5000
+        assert abs(third.value() - Fraction(1, 3)) <= Fraction(1, 2**5000)
+        assert len(expansions(Fraction(1, 2), DigitSystem(2, 0), 3000)) == 2
 
     def test_prefix_accuracy(self):
         rng = random.Random(0xE)
