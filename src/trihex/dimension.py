@@ -9,7 +9,7 @@ from typing import Iterable
 
 from .errors import DomainError
 from .fractal import DEFAULT_MAX_SQUARES, ifs_prefractal, lattice_cardinality
-from .radix import DigitSystem
+from .radix import DigitSystem, _depth
 
 __all__ = [
     "DimensionReport",
@@ -46,7 +46,7 @@ def box_count_estimate(system: DigitSystem, n: int,
     The count is taken from the actual geometric construction, not from
     the closed-form power, so the report cross-checks both.
     """
-    if n < 1:
+    if _depth(n) < 1:
         raise DomainError(f"box counting needs depth >= 1, got {n}")
     count = len(ifs_prefractal(system, n, max_squares))
     estimate = math.log(count) / (n * math.log(system.m))
@@ -57,10 +57,8 @@ def box_count_estimate(system: DigitSystem, n: int,
 
 def lebesgue_measure(system: DigitSystem, n: int) -> Fraction:
     """Exact area of the depth-n prefractal: (l / m^2)^n."""
-    if n < 0:
-        raise DomainError(f"depth must be nonnegative, got {n}")
     ell = lattice_cardinality(system.m, system.b)
-    return Fraction(ell, system.m**2) ** n
+    return Fraction(ell, system.m**2) ** _depth(n)
 
 
 def dim_limit_table(b: int, m_values: Iterable[int]) -> list[tuple[int, float]]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .membership import MembershipAutomaton, member
-from .radix import DigitSystem
+from .radix import DigitSystem, _depth
 
 __all__ = [
     "DEFAULT_MAX_SQUARES",
@@ -89,20 +89,19 @@ def lattice_cardinality(m: int, b: int = 0) -> int:
 
 def index_bounds(system: DigitSystem, depth: int) -> tuple[int, int]:
     """Range of indices with a depth-n digit decomposition inside the alphabet."""
-    g = (system.m**depth - 1) // (system.m - 1)  # 1 + m + ... + m^(depth-1)
+    g = (system.m ** _depth(depth) - 1) // (system.m - 1)  # 1 + m + ... + m^(depth-1)
     return -system.b * g, (system.m - 1 - system.b) * g
 
 
 def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
-    """(lo, W) of the depth-n square key (i - lo) * W + (j - lo), W = hi - lo + 1."""
-    if type(depth) is not int or depth < 0:  # the one depth gate for square sets; bool is no depth
-        raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
-    # W = m^depth >= 2^depth, so past depth 31 the key overflows: reject before m^depth
-    if depth <= 31:
-        lo, hi = index_bounds(system, depth)
-        if (hi - lo + 1) ** 2 <= 2**63:
-            return lo, hi - lo + 1
-    raise DomainError(f"depth {depth} too deep for base {system}: keys overflow int64")
+    """(lo, W) of the depth-n square key (i - lo) * W + (j - lo), W = m^n.
+
+    i - lo is i's digits shifted by b into [0, m-1], read as a base-m numeral.
+    """
+    # W = m^depth >= 2^depth, so past depth 31 the key overflows: reject before m^(2 depth)
+    if _depth(depth) > 31 or system.m ** (2 * depth) > 2**63:
+        raise DomainError(f"depth {depth} too deep for base {system}: keys overflow int64")
+    return index_bounds(system, depth)[0], system.m**depth
 
 
 _BLOCK = 65536  # squares per writer chunk, so a writer's memory does not grow with its output
@@ -137,9 +136,9 @@ class Prefractal:
 
     Square (i, j) denotes [i/m^n, (i+1)/m^n] x [j/m^n, (j+1)/m^n].
     Indices may be negative in balanced systems.  Stored once, as sorted
-    int64 keys (i - lo) * W + (j - lo) with [lo, hi] = index_bounds and
-    W = hi - lo + 1.  W^2 must fit in int64: the depth is at most 31 for
-    (2, 0), 19 for (3, 1) and 13 for (5, 2), and DomainError beyond.
+    int64 keys (i - lo) * W + (j - lo), lo and W = m^n from _key_frame.
+    W^2 must fit in int64: the depth is at most 31 for (2, 0), 19 for
+    (3, 1) and 13 for (5, 2), and DomainError beyond.
     """
 
     __slots__ = ("system", "depth", "_keys")
@@ -221,8 +220,9 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
     """One construction step: every square spawns one child per lattice shift.
 
     The child of square (i, j) under shift (k, h) is (i + k*m^depth,
-    j + h*m^depth) at depth + 1.  Distinct parents and shifts never
-    collide; a duplicate aborts rather than being silently merged.
+    j + h*m^depth) at depth + 1: on keys, the shifted digits k + b and h + b
+    go on top of the parent's.  Distinct parents and shifts never collide;
+    a duplicate aborts rather than being silently merged.
     """
     if p.system != lat.system:
         raise DomainError(f"prefractal system {p.system} does not match lattice {lat.system}")
@@ -231,11 +231,10 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
         raise ResourceError(
             f"depth {p.depth + 1} needs {expected} squares, over the cap {max_squares}"
         )
-    kid_lo, kid_width = _key_frame(p.system, p.depth + 1)
-    i, j = (p.squares - kid_lo).T  # the parent squares in the child key frame
-    base = i * kid_width + j
-    scale = p.system.m**p.depth
-    shifts = np.array([(k * kid_width + h) * scale for k, h in lat.points], dtype=np.int64)
+    _key_frame(p.system, p.depth + 1)  # the child depth is gated before any key arithmetic
+    m, b, s = p.system.m, p.system.b, p.system.m**p.depth
+    base = p._keys + (p._keys // s) * ((m - 1) * s)  # u*s + v becomes u*m*s + v
+    shifts = np.array([((k + b) * m * s + h + b) * s for k, h in lat.points], dtype=np.int64)
     # shifts on the outer axis, so the sort merges len(lat) sorted runs
     return Prefractal._from_keys(p.system, p.depth + 1, (shifts[:, None] + base).reshape(-1))
 
@@ -254,44 +253,30 @@ def ifs_prefractal(system: DigitSystem, n: int,
     return p
 
 
-def _digit_matrix(vals: np.ndarray, system: DigitSystem, n: int) -> np.ndarray:
-    """Depth-n alphabet digits of each value, least significant first."""
-    v = vals.copy()
-    out = np.empty((len(vals), n), dtype=np.int8)
-    for t in range(n):
-        r = v % system.m
-        d = np.where(r <= system.max_digit, r, r - system.m)
-        out[:, t] = d
-        v = (v - d) // system.m
-    if bool(np.any(v)):
-        raise DomainError(f"value not representable in {n} digits of base {system}")
-    return out
-
-
 def prefractal_by_digits(system: DigitSystem, n: int,
                          max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
     """Depth-n squares selected by the digit condition alone.
 
-    Every representable index is decomposed into its n alphabet digits;
-    a pair (i, j) is kept iff each positionwise digit sum stays inside
-    the alphabet.  This scans all m^n x m^n index pairs, independently of
-    the geometric iteration.
+    Each index i - lo in [0, m^n) is read as n base-m digits: those of i,
+    shifted by b.  A pair is kept iff every positionwise sum lies in
+    [b, m-1+b], so each digit sum of i and j stays inside the alphabet.
+    All m^n x m^n pairs are scanned, independently of the geometric route.
     """
-    lo, width = _key_frame(system, n)
+    _, width = _key_frame(system, n)
     if max_squares is not None:
         expected = lattice_cardinality(system.m, system.b) ** n
         if expected > max_squares or width * width > 32 * max_squares:
             raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
-    digits = _digit_matrix(np.arange(lo, lo + width, dtype=np.int64), system, n)
-    d_lo, d_hi = system.min_digit, system.max_digit
+    m, b, u = system.m, system.b, np.arange(width)
+    dtype = np.min_scalar_type(2 * (m - 1))  # holds every digit sum, so none wraps
+    digits = [(u // m**t % m).astype(dtype) for t in range(n)]
     keys = []
-    block = 4096  # bound the (block x m^n) pair mask
+    block = max(1, 2**22 // width)  # rows of the pair mask, about 4M entries
     for start in range(0, width, block):
-        da = digits[start : start + block]
-        ok = np.ones((da.shape[0], width), dtype=bool)
-        for t in range(n):
-            s = da[:, t : t + 1] + digits[:, t][None, :]
-            ok &= (s >= d_lo) & (s <= d_hi)
+        ok = np.ones((min(block, width - start), width), dtype=bool)
+        for d in digits:
+            s = d[start : start + block, None] + d
+            ok &= (b <= s) & (s <= m - 1 + b)
         # the flat mask index is (i - lo - start) * W + (j - lo)
         keys.append(np.flatnonzero(ok) + start * width)
     return Prefractal._from_keys(system, n, np.concatenate(keys))

@@ -174,6 +174,8 @@ def int_to_digits(n: int, system: DigitSystem) -> DigitString:
     no sign, so negative integers are rejected when b = 0; balanced
     systems encode any integer.
     """
+    if type(n) is not int:  # bool is not an integer here
+        raise DomainError(f"integer to expand must be an int, got {n!r}")
     if system.b == 0 and n < 0:
         raise DomainError(f"standard base cannot represent negative integer {n}")
     digits = {}
@@ -230,6 +232,13 @@ def carry_free(x: DigitString, y: DigitString) -> bool:
     return all(system.has_digit(x.digit(e) + y.digit(e)) for e in spots)
 
 
+def _depth(n) -> int:
+    """n, after the one depth gate: an exact nonnegative int; bool is no depth."""
+    if type(n) is not int or n < 0:
+        raise DomainError(f"depth must be a nonnegative integer, got {n!r}")
+    return n
+
+
 def _digit_window(a: int, q: int, system: DigitSystem) -> list[tuple[int, int]]:
     """Digits d with m*r - d in the value interval, r = a/q, and numerators m*a - d*q.
 
@@ -270,11 +279,9 @@ def expansions(r, system: DigitSystem, depth: int) -> list[DigitString]:
     Prefixes occupy exponents -1 .. -depth and are returned in ascending
     digit order, most significant first; at most two are alive at any depth.
     """
-    if type(depth) is not int or depth < 0:
-        raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
     a, q = _remainder(r, system)
     prefixes = [((), a)]  # (digits from exponent -1 down, remainder numerator over q)
-    for _ in range(depth):
+    for _ in range(_depth(depth)):
         prefixes = [(ds + (d,), nxt) for ds, num in prefixes
                     for d, nxt in _digit_window(num, q, system)]
     return [DigitString(system, zip(range(-1, -depth - 1, -1), ds)) for ds, _ in prefixes]

@@ -195,6 +195,8 @@ class TestVerify:
     def test_ok_line(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--base", "2", "--balance", "0", "--depth", "4")
         assert (code, out) == (0, "equivalence: ok (81 squares)\n")
+        code, out, _ = invoke(capsys, "verify", "--base", "200", "--balance", "0", "--depth", "1")
+        assert (code, out) == (0, "equivalence: ok (20100 squares)\n")
 
     def test_cap_exceeded(self, capsys):
         code, _, err = invoke(capsys, "verify", "--base", "2", "--balance", "0", "--depth", "9",

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -26,11 +27,14 @@ from trihex import (
     iterate,
     lattice,
     lattice_cardinality,
+    lebesgue_measure,
     member,
     prefractal_by_digits,
     prefractal_from_json,
     prefractal_to_json,
+    rasterize,
     unit_square,
+    write_svg,
 )
 
 BT = DigitSystem(3, 1)
@@ -190,8 +194,9 @@ class TestEntryGates:
     def test_depth_must_be_a_nonnegative_int(self):
         builds = (ifs_prefractal, prefractal_by_digits, box_count_estimate,
                   lambda system, depth: Prefractal(system, depth, []),
-                  lambda system, depth: expansions(0, system, depth))
-        for depth in (2.0, True, -1):
+                  lambda system, depth: expansions(0, system, depth),
+                  lebesgue_measure, index_bounds)
+        for depth in (2.0, True, -1, "a", None):
             for build in builds:
                 with pytest.raises(DomainError):
                     build(DigitSystem(2, 0), depth)
@@ -229,6 +234,30 @@ class TestDigitConstruction:
         assert len(ifs_prefractal(BT, 3)) == 343
         assert equivalence_check(DigitSystem(5, 2), 2)
         assert len(ifs_prefractal(DigitSystem(5, 2), 2)) == 361
+        # digit sums reach 2(m - 1), past int8 from m = 129 on
+        for m, b in ((129, 0), (200, 0), (255, 127), (1000, 0)):
+            assert equivalence_check(DigitSystem(m, b), 1)
+
+    def test_no_library_path_builds_the_pairs(self, monkeypatch):
+        def no_pairs(self):
+            raise AssertionError("Prefractal.squares built")
+
+        monkeypatch.setattr(Prefractal, "squares", property(no_pairs))
+        p = ifs_prefractal(BT, 4)
+        assert p == prefractal_by_digits(BT, 4)
+        assert equivalence_check(BT, 4)
+        assert prefractal_to_json(p).startswith('{"m":3,"b":1,"depth":4,"count":2401,')
+        assert write_svg(p).count(b"<rect") == 2401
+        assert int(rasterize(p)[1].sum()) == 2401
+
+    def test_digit_scan_memory(self):
+        tracemalloc.start()
+        try:
+            prefractal_by_digits(DigitSystem(2, 0), 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
 
 
 class TestNesting:

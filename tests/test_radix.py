@@ -91,8 +91,9 @@ class TestIntToDigits:
             assert int_to_digits(0, system).is_zero
 
     def test_negative_rejected_in_standard_base(self):
-        with pytest.raises(DomainError):
-            int_to_digits(-5, DigitSystem(3, 0))
+        for n in (-5, True):  # bool is not an integer here
+            with pytest.raises(DomainError):
+                int_to_digits(n, DigitSystem(3, 0))
 
     def test_leading_digit_nonzero(self):
         for system in legal_systems(6):
