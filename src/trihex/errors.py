@@ -1,5 +1,7 @@
 """Exception types shared by all trihex modules, and the default square cap."""
 
+__all__ = ["DEFAULT_MAX_SQUARES", "DomainError", "ResourceError"]
+
 
 class DomainError(ValueError):
     """Raised when an argument lies outside an operation's domain."""

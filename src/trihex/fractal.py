@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .membership import MembershipAutomaton, member
-from .radix import DigitSystem, _depth
+from .radix import DigitSystem, _depth, _rational
 
 __all__ = [
     "DEFAULT_MAX_SQUARES",
@@ -71,14 +71,10 @@ def lattice(m: int, b: int = 0) -> GeneratorLattice:
     """Enumerate the generator lattice for the (m, b) digit system."""
     system = DigitSystem(m, b)
     lo, hi = system.min_digit, system.max_digit
-    pts = [
-        (k, h)
-        for k in range(lo, hi + 1)
-        for h in range(lo, hi + 1)
-        if lo <= k + h <= hi
-    ]
-    pts.sort()
-    return GeneratorLattice(system, tuple(pts))
+    # for each k the valid h form one range, so the pairs come out sorted
+    pts = tuple((k, h) for k in range(lo, hi + 1)
+                for h in range(max(lo, lo - k), min(hi, hi - k) + 1))
+    return GeneratorLattice(system, pts)
 
 
 def lattice_cardinality(m: int, b: int = 0) -> int:
@@ -102,6 +98,15 @@ def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
     if _depth(depth) > 31 or system.m ** (2 * depth) > 2**63:
         raise DomainError(f"depth {depth} too deep for base {system}: keys overflow int64")
     return index_bounds(system, depth)[0], system.m**depth
+
+
+def _gate(system: DigitSystem, n: int, max_squares: int | None) -> tuple[int, int]:
+    """_key_frame(system, n), after the square cap is checked: before any square or lattice."""
+    frame = _key_frame(system, n)
+    expected = lattice_cardinality(system.m, system.b) ** n
+    if max_squares is not None and expected > max_squares:
+        raise ResourceError(f"depth {n} needs {expected} squares, over the cap {max_squares}")
+    return frame
 
 
 _BLOCK = 65536  # squares per writer chunk, so a writer's memory does not grow with its output
@@ -242,14 +247,12 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
 def ifs_prefractal(system: DigitSystem, n: int,
                    max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
     """Iterate the unit square n times through the generator lattice, gated before any square."""
-    _key_frame(system, n)
-    lat = lattice(system.m, system.b)
-    # len(lat) >= 3, so the last level is the largest: one cap check covers them all
-    if max_squares is not None and n and len(lat) ** n > max_squares:
-        raise ResourceError(f"depth {n} needs {len(lat)**n} squares, over the cap {max_squares}")
+    _gate(system, n, max_squares)  # the lattice has >= 3 points, so the last level is the largest
     p = unit_square(system)
-    for _ in range(n):
-        p = iterate(p, lat, None)
+    if n:
+        lat = lattice(system.m, system.b)
+        for _ in range(n):
+            p = iterate(p, lat, None)
     return p
 
 
@@ -262,11 +265,9 @@ def prefractal_by_digits(system: DigitSystem, n: int,
     [b, m-1+b], so each digit sum of i and j stays inside the alphabet.
     All m^n x m^n pairs are scanned, independently of the geometric route.
     """
-    _, width = _key_frame(system, n)
-    if max_squares is not None:
-        expected = lattice_cardinality(system.m, system.b) ** n
-        if expected > max_squares or width * width > 32 * max_squares:
-            raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
+    _, width = _gate(system, n, max_squares)
+    if max_squares is not None and width * width > 32 * max_squares:
+        raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
     m, b, u = system.m, system.b, np.arange(width)
     dtype = np.min_scalar_type(2 * (m - 1))  # holds every digit sum, so none wraps
     digits = [(u // m**t % m).astype(dtype) for t in range(n)]
@@ -293,7 +294,7 @@ def covers_point(p: Prefractal, x, y) -> bool:
     scale = p.system.m**p.depth
 
     def candidates(t):
-        t = Fraction(t) * scale
+        t = _rational(t) * scale
         f = math.floor(t)
         return (f, f - 1) if f == t else (f,)
 

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .errors import ResourceError
-from .radix import DigitSystem, _digit_window
+from .radix import DigitSystem, _digit_window, _rational
 
 __all__ = ["MembershipAutomaton", "member"]
 
@@ -55,7 +55,7 @@ class MembershipAutomaton:
 
     def decide(self, x, y) -> bool:
         """Exact membership of the rational point (x, y)."""
-        x, y = Fraction(x), Fraction(y)
+        x, y = _rational(x), _rational(y)
         iv = self.system.interval()
         if not (iv.contains(x) and iv.contains(y)):
             return False

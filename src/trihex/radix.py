@@ -252,9 +252,17 @@ def _digit_window(a: int, q: int, system: DigitSystem) -> list[tuple[int, int]]:
     return [(d, m * a - d * q) for d in range(max(low, -b), min(f, m - 1 - b) + 1)]
 
 
+def _rational(r) -> Fraction:
+    """Fraction(r), with DomainError for anything that is not a finite rational."""
+    try:
+        return Fraction(r)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"not a rational number: {r!r}") from None
+
+
 def _remainder(r, system: DigitSystem) -> tuple[int, int]:
     """r as (numerator, denominator), after the one check that r is in the value interval."""
-    r = Fraction(r)
+    r = _rational(r)
     iv = ValueInterval.of(system)
     if not iv.contains(r):
         raise DomainError(f"{r} outside value interval [{iv.lo}, {iv.hi}] of base {system}")

@@ -204,6 +204,13 @@ class TestVerify:
         assert code == 1
         assert "error:" in err
 
+    def test_depth_zero_cap_is_one_rule_for_gen_and_verify(self, capsys):
+        for command in ("gen", "verify"):
+            code, out, err = invoke(capsys, command, "--base", "2", "--depth", "0",
+                                    "--max-squares", "0")
+            assert (code, out) == (1, ""), command
+            assert err == "error: depth 0 needs 1 squares, over the cap 0\n", command
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):

@@ -205,11 +205,36 @@ class TestEntryGates:
         def no_iterate(*args):
             raise AssertionError("iterate called past the cap")
 
+        def no_lattice(*args):
+            raise AssertionError("lattice built past the cap")
+
         monkeypatch.setattr(fractal, "iterate", no_iterate)
+        monkeypatch.setattr(fractal, "lattice", no_lattice)
         with pytest.raises(ResourceError, match="depth 20 needs 3486784401 squares"):
             ifs_prefractal(DigitSystem(2, 0), 20)
         with pytest.raises(ResourceError, match="depth 10 "):
             ifs_prefractal(DigitSystem(2, 0), 10, max_squares=100)
+        for build in (ifs_prefractal, prefractal_by_digits):
+            with pytest.raises(ResourceError,
+                               match="depth 1 needs 4501500 squares, over the cap 10"):
+                build(DigitSystem(3000, 0), 1, max_squares=10)
+            with pytest.raises(ResourceError, match="depth 0 needs 1 squares, over the cap 0"):
+                build(DigitSystem(2, 0), 0, max_squares=0)
+        # depth 0 needs no lattice, however large the base
+        huge = DigitSystem(10**30, 0)
+        assert ifs_prefractal(huge, 0) == unit_square(huge)
+
+    def test_non_rational_coordinates_are_domain_errors(self):
+        system = DigitSystem(2, 0)
+        square = unit_square(system)
+        entries = (lambda t: member(t, 0, system), lambda t: member(0, t, system),
+                   lambda t: covers_point(square, t, 0), lambda t: covers_point(square, 0, t),
+                   lambda t: frac_digit_choices(t, system), lambda t: expansions(t, system, 1))
+        for t in (float("nan"), float("inf"), float("-inf"), "abc", None, "1/0"):
+            for entry in entries:
+                with pytest.raises(DomainError, match="not a rational number"):
+                    entry(t)
+        assert member("1/2", "1/4", system)
 
 
 class TestDigitConstruction:

@@ -14,7 +14,14 @@ from trihex.cli import run
 SUBMODULES = ("errors", "radix", "membership", "fractal", "dimension", "render", "cli")
 
 NUMPY_GUARD = """
-import contextlib, io, sys, trihex.cli
+import contextlib, io, sys, trihex
+print("submodules after import trihex:", sorted(m for m in sys.modules if m.startswith("trihex.")))
+print("hasattr before import:", hasattr(trihex, "fractal"), hasattr(trihex, "cli"))
+for name in ["member", "MembershipAutomaton", "DigitSystem", "DomainError", "ResourceError",
+             "DEFAULT_MAX_SQUARES"]:
+    getattr(trihex, name)
+from trihex import cli
+print("numpy after numpy-free names and cli:", "numpy" in sys.modules)
 numeral_and_member = [
     ["member", "--base", "3", "--balance", "1", "--point=-1/3,1/3"],
     ["convert", "--int", "14", "--base", "3", "--balance", "1"],
@@ -25,6 +32,8 @@ numeral_and_member = [
 for argv in numeral_and_member:
     assert trihex.cli.run(argv) == 0, argv
 print("numpy after numeral and member commands:", "numpy" in sys.modules)
+trihex.Prefractal
+print("numpy after Prefractal:", "numpy" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     assert trihex.cli.run(["gen", "--base", "2", "--depth", "2", "--format", "text"]) == 0
 print("numpy after gen:", "numpy" in sys.modules)
@@ -37,10 +46,32 @@ def test_numeral_and_member_commands_run_without_numpy():
     out = subprocess.run([sys.executable, "-c", NUMPY_GUARD], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
     assert out.splitlines() == [
+        "submodules after import trihex: []",
+        "hasattr before import: False False",
+        "numpy after numpy-free names and cli: False",
         "true", "[1 -1 -1 -1]@3b1", "11/3", "[1 0 2]@3b0", "true",
         "numpy after numeral and member commands: False",
+        "numpy after Prefractal: True",
         "numpy after gen: True",  # gen does load it, so the check above is not vacuous
     ]
+
+
+EXPORTS = [
+    "DEFAULT_MAX_SQUARES", "DigitString", "DigitSystem", "DimensionReport", "DomainError",
+    "GeneratorLattice", "GridSquare", "MembershipAutomaton", "Prefractal", "RasterSpec",
+    "ResourceError", "ValueInterval", "add", "box_count_estimate", "carry_free",
+    "closed_form_dim", "covers_point", "digits_to_rational", "dim_limit_table",
+    "equivalence_check", "expansions", "format_numeral", "frac_digit_choices", "ifs_prefractal",
+    "index_bounds", "int_to_digits", "iterate", "lattice", "lattice_cardinality",
+    "lebesgue_measure", "member", "parse_numeral", "prefractal_by_digits",
+    "prefractal_from_json", "prefractal_to_json", "rasterize", "report_to_json", "unit_square",
+    "write_pbm", "write_svg",
+]
+
+
+def test_public_names_are_pinned():
+    assert trihex.__all__ == EXPORTS
+    assert vars(trihex)["__version__"] == "0.1.0"
 
 
 def test_every_export_is_its_submodule_object():
