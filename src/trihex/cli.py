@@ -2,7 +2,7 @@
 generation, exact membership queries, dimension reports, rendering, and
 the construction equivalence check.
 
-Exit codes: 0 success, 1 domain/resource/file error or a number past
+Exit codes: 0 success, 1 domain/resource/file/memory error or a number past
 Python's int/str digit limit (one-line diagnostic on stderr), 2 usage error.
 
 Only the commands that build square sets (gen, render, dim, verify) import
@@ -24,6 +24,7 @@ from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .membership import member
 from .radix import (
     DigitSystem,
+    _rational,
     add,
     carry_free,
     digits_to_rational,
@@ -54,10 +55,7 @@ def _parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise DomainError(f"malformed rational {text!r} (expected p or p/q)")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise DomainError(f"zero denominator in rational {text!r}") from None
+    return _rational(text)
 
 
 def _parse_point(text: str) -> tuple[Fraction, Fraction]:
@@ -231,7 +229,7 @@ def run(argv: list[str]) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     # ValueError covers DomainError and Python's 4300-digit int/str conversion limit
-    except (ValueError, ResourceError, OSError) as exc:
+    except (ValueError, ResourceError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

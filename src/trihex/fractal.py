@@ -199,12 +199,14 @@ class Prefractal:
         return f"Prefractal(system={self.system}, depth={self.depth}, squares={len(self)})"
 
     def has_square(self, i: int, j: int) -> bool:
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in (i, j)):
+            raise DomainError(f"square indices must be integers, got ({i!r}, {j!r})")
         lo, width = _key_frame(self.system, self.depth)
         if not (0 <= i - lo < width and 0 <= j - lo < width):
             return False
         key = (i - lo) * width + (j - lo)
         pos = int(np.searchsorted(self._keys, key))
-        return pos < len(self) and self._keys[pos] == key
+        return pos < len(self) and bool(self._keys[pos] == key)
 
 
 def _square_blocks(p: Prefractal) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -68,7 +68,8 @@ class DigitSystem:
         return r if r <= self.max_digit else r - self.m
 
     def interval(self) -> "ValueInterval":
-        return ValueInterval.of(self)
+        return ValueInterval(Fraction(-self.b, self.m - 1),
+                             Fraction(self.m - 1 - self.b, self.m - 1))
 
     def __str__(self) -> str:
         return f"{self.m}b{self.b}"
@@ -84,13 +85,6 @@ class ValueInterval:
 
     lo: Fraction
     hi: Fraction
-
-    @classmethod
-    def of(cls, system: DigitSystem) -> "ValueInterval":
-        return cls(
-            Fraction(-system.b, system.m - 1),
-            Fraction(system.m - 1 - system.b, system.m - 1),
-        )
 
     def contains(self, r) -> bool:
         return self.lo <= r <= self.hi
@@ -195,32 +189,18 @@ def digits_to_rational(x: DigitString) -> Fraction:
 
 
 def add(x: DigitString, y: DigitString) -> DigitString:
-    """Digit-by-digit sum, lowest exponent first, with carries in {-1, 0, +1}.
+    """Exact sum: the numeral of x + y, written by int_to_digits.
 
-    Each position keeps the unique alphabet digit congruent to the raw
-    sum mod m; the excess (negative in balanced systems when the sum
-    undershoots the alphabet) moves one position up.
+    Each alphabet holds one digit per residue mod m, so a value has at
+    most one finite numeral.  Scaled by m**-low, low the lowest exponent
+    (or 0), the sum is an integer; its digits shift back down by low.
     """
     if x.system != y.system:
         raise DomainError(f"mismatched digit systems: {x.system} vs {y.system}")
-    system = x.system
-    if x.is_zero:
-        return y
-    if y.is_zero:
-        return x
-    lo = min(x.min_exponent, y.min_exponent)
-    hi = max(x.max_exponent, y.max_exponent)
-    out = {}
-    carry = 0
-    e = lo
-    while e <= hi or carry:
-        s = x.digit(e) + y.digit(e) + carry
-        d = system.digit_for(s)
-        carry = (s - d) // system.m
-        if d:
-            out[e] = d
-        e += 1
-    return DigitString(system, out)
+    low = min(0, x.min_exponent or 0, y.min_exponent or 0)
+    n = (x.value() + y.value()) * x.system.m**-low
+    digits = int_to_digits(n.numerator, x.system)._digits
+    return DigitString(x.system, {e + low: d for e, d in digits.items()})
 
 
 def carry_free(x: DigitString, y: DigitString) -> bool:
@@ -263,7 +243,7 @@ def _rational(r) -> Fraction:
 def _remainder(r, system: DigitSystem) -> tuple[int, int]:
     """r as (numerator, denominator), after the one check that r is in the value interval."""
     r = _rational(r)
-    iv = ValueInterval.of(system)
+    iv = system.interval()
     if not iv.contains(r):
         raise DomainError(f"{r} outside value interval [{iv.lo}, {iv.hi}] of base {system}")
     return r.numerator, r.denominator

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import trihex
-from trihex import prefractal_from_json, ifs_prefractal, DigitSystem
+from trihex import prefractal_from_json, ifs_prefractal, DigitSystem, Prefractal, fractal
 from trihex.cli import run
 
 
@@ -204,6 +204,24 @@ class TestVerify:
         assert code == 1
         assert "error:" in err
 
+    def test_digit_scan_cap(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "13",
+                                "--max-squares", "1600000")
+        assert (code, out) == (1, "")
+        assert err == "error: digit scan at depth 13 exceeds the cap 1600000\n"
+
+    def test_mismatch_line(self, capsys, monkeypatch):
+        scan = fractal.prefractal_by_digits
+
+        def one_square_short(system, n, max_squares):
+            p = scan(system, n, max_squares)
+            return Prefractal(system, n, list(p)[1:])
+
+        monkeypatch.setattr(fractal, "prefractal_by_digits", one_square_short)
+        code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
+        assert (code, out) == (1, "")
+        assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 8 digit squares)\n"
+
     def test_depth_zero_cap_is_one_rule_for_gen_and_verify(self, capsys):
         for command in ("gen", "verify"):
             code, out, err = invoke(capsys, command, "--base", "2", "--depth", "0",
@@ -258,6 +276,20 @@ class TestExitCodes:
                                   "--point", point)
             assert code == 1, point
             assert "error:" in err
+
+    def test_zero_denominator_line(self, capsys):
+        code, out, err = invoke(capsys, "member", "--base", "2", "--point", "1/0,0")
+        assert (code, out, err) == (1, "", "error: not a rational number: '1/0'\n")
+
+    def test_out_of_memory_is_one_line_error(self, capsys, monkeypatch):
+        # a cap raised past the machine's memory; faked, since a real one allocates
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 64.0 GiB")
+
+        monkeypatch.setattr(fractal, "ifs_prefractal", out_of_memory)
+        code, out, err = invoke(capsys, "gen", "--base", "2", "--depth", "30",
+                                "--max-squares", str(10**18))
+        assert (code, out, err) == (1, "", "error: Unable to allocate 64.0 GiB\n")
 
     def test_malformed_numeral_is_domain_error(self, capsys):
         code, _, err = invoke(capsys, "convert", "--x", "[9]@3b0")

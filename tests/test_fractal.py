@@ -128,6 +128,14 @@ class TestPrefractal:
         q = ifs_prefractal(DigitSystem(2, 0), 2)
         assert not q.has_square(0, 4)
         assert not q.has_square(1, -3)
+        # indices are exact integers, numpy's included; an answer is a Python bool
+        r = ifs_prefractal(DigitSystem(2, 0), 1)
+        assert r.has_square(np.int64(1), 0) is True and r.has_square(1, 1) is False
+        assert all(r.has_square(*row) for row in r.squares)
+        for bad in (0.5, True, np.True_, "1", None, Fraction(1)):
+            for i, j in ((bad, 0), (0, bad)):
+                with pytest.raises(DomainError, match="square indices must be integers"):
+                    r.has_square(i, j)
 
     def test_key_overflow_rejected(self):
         # a key of i * 2^32 + j wraps here, sorting (0, 1) last and finding (0, 0)
@@ -251,6 +259,9 @@ class TestDigitConstruction:
     def test_resource_cap(self):
         with pytest.raises(ResourceError):
             prefractal_by_digits(DigitSystem(2, 0), 10, max_squares=100)
+        # 3^13 squares pass the cap, but the 4^13 pairs of the scan do not
+        with pytest.raises(ResourceError, match="digit scan at depth 13 exceeds the cap 1600000"):
+            prefractal_by_digits(DigitSystem(2, 0), 13, 1_600_000)
 
     def test_equivalence_examples(self):
         assert equivalence_check(DigitSystem(2, 0), 4)

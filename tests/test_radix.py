@@ -155,6 +155,48 @@ class TestAdd:
                 assert all(system.has_digit(s.digit(e)) for e in s.exponents())
 
 
+def carry_loop_add(x, y):
+    """Reference: the digit-by-digit carry loop, lowest exponent first, that add once ran."""
+    system = x.system
+    if x.is_zero:
+        return y
+    if y.is_zero:
+        return x
+    lo = min(x.min_exponent, y.min_exponent)
+    hi = max(x.max_exponent, y.max_exponent)
+    out = {}
+    carry = 0
+    e = lo
+    while e <= hi or carry:
+        s = x.digit(e) + y.digit(e) + carry
+        d = system.digit_for(s)
+        carry = (s - d) // system.m
+        if d:
+            out[e] = d
+        e += 1
+    return DigitString(system, out)
+
+
+class TestAddMatchesCarryLoop:
+    @pytest.mark.parametrize("span,count", [(3, 60), (10, 30), (150, 6)])
+    def test_random_sums(self, span, count):
+        rng = random.Random(0xCA11 + span)
+
+        def numeral(system):
+            # shifted so that some numerals sit wholly above or below the radix point
+            shift, x = rng.randint(-span, span), rand_string(rng, system, span)
+            return DigitString(system, {e + shift: x.digit(e) for e in x.exponents()})
+
+        for system in legal_systems(9):
+            zero = DigitString(system)
+            pairs = [(zero, zero)]
+            for _ in range(count):
+                x, y = numeral(system), numeral(system)
+                pairs += [(x, y), (x, zero), (zero, y), (x, x)]
+            for x, y in pairs:
+                assert add(x, y) == carry_loop_add(x, y), (x, y)
+
+
 class TestCarryFree:
     def test_disjoint_positions(self):
         b2 = DigitSystem(2, 0)
