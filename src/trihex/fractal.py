@@ -2,10 +2,11 @@
 
 Two independent constructions of the same square sets are provided: the
 geometric route (each square spawns one child per generator-lattice
-shift) and the digit route (keep exactly the index pairs whose digitwise
-sums stay inside the alphabet).  `equivalence_check` compares them as
-sets.  The membership search lives in the numpy-free `trihex.membership`
-and is re-exported here.
+shift) and the digit route (the n-fold Kronecker power of the m x m
+matrix that marks the digit pairs whose sum stays inside the alphabet;
+the flat indices of its set cells are the square keys).
+`equivalence_check` compares them as sets.  The membership search lives
+in the numpy-free `trihex.membership` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -201,6 +203,7 @@ class Prefractal:
     def has_square(self, i: int, j: int) -> bool:
         if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in (i, j)):
             raise DomainError(f"square indices must be integers, got ({i!r}, {j!r})")
+        i, j = int(i), int(j)  # i - lo on a numpy unsigned index would wrap or overflow
         lo, width = _key_frame(self.system, self.depth)
         if not (0 <= i - lo < width and 0 <= j - lo < width):
             return False
@@ -229,7 +232,8 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
     The child of square (i, j) under shift (k, h) is (i + k*m^depth,
     j + h*m^depth) at depth + 1: on keys, the shifted digits k + b and h + b
     go on top of the parent's.  Distinct parents and shifts never collide;
-    a duplicate aborts rather than being silently merged.
+    a duplicate aborts rather than being silently merged.  A shift with k,
+    h or k + h outside the alphabet raises DomainError before any key.
     """
     if p.system != lat.system:
         raise DomainError(f"prefractal system {p.system} does not match lattice {lat.system}")
@@ -239,9 +243,17 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
             f"depth {p.depth + 1} needs {expected} squares, over the cap {max_squares}"
         )
     _key_frame(p.system, p.depth + 1)  # the child depth is gated before any key arithmetic
+    lo, hi = p.system.min_digit, p.system.max_digit
+    outside = DomainError(f"lattice point outside the alphabet of base {p.system}")
+    try:
+        k, h = np.array(lat.points, dtype=np.int64).reshape(-1, 2).T
+    except OverflowError:  # past int64 is outside the alphabet too
+        raise outside from None
+    if not np.all((lo <= k) & (k <= hi) & (lo <= h) & (h <= hi) & (lo <= k + h) & (k + h <= hi)):
+        raise outside
     m, b, s = p.system.m, p.system.b, p.system.m**p.depth
     base = p._keys + (p._keys // s) * ((m - 1) * s)  # u*s + v becomes u*m*s + v
-    shifts = np.array([((k + b) * m * s + h + b) * s for k, h in lat.points], dtype=np.int64)
+    shifts = ((k + b) * m * s + h + b) * s
     # shifts on the outer axis, so the sort merges len(lat) sorted runs
     return Prefractal._from_keys(p.system, p.depth + 1, (shifts[:, None] + base).reshape(-1))
 
@@ -262,26 +274,23 @@ def prefractal_by_digits(system: DigitSystem, n: int,
                          max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
     """Depth-n squares selected by the digit condition alone.
 
-    Each index i - lo in [0, m^n) is read as n base-m digits: those of i,
-    shifted by b.  A pair is kept iff every positionwise sum lies in
-    [b, m-1+b], so each digit sum of i and j stays inside the alphabet.
-    All m^n x m^n pairs are scanned, independently of the geometric route.
+    On digits shifted by b into [0, m-1] the rule is one m x m boolean
+    matrix, A[u, v] = (b <= u + v <= m-1+b).  The kept cells (i - lo, j - lo)
+    are those of the n-fold Kronecker power of A, and a cell's flat index
+    in that W x W power is the square key.  All W^2 cells are built, in
+    blocks, independently of the geometric route.
     """
     _, width = _gate(system, n, max_squares)
     if max_squares is not None and width * width > 32 * max_squares:
         raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
-    m, b, u = system.m, system.b, np.arange(width)
-    dtype = np.min_scalar_type(2 * (m - 1))  # holds every digit sum, so none wraps
-    digits = [(u // m**t % m).astype(dtype) for t in range(n)]
-    keys = []
-    block = max(1, 2**22 // width)  # rows of the pair mask, about 4M entries
-    for start in range(0, width, block):
-        ok = np.ones((min(block, width - start), width), dtype=bool)
-        for d in digits:
-            s = d[start : start + block, None] + d
-            ok &= (b <= s) & (s <= m - 1 + b)
-        # the flat mask index is (i - lo - start) * W + (j - lo)
-        keys.append(np.flatnonzero(ok) + start * width)
+    m, b, u = system.m, system.b, np.arange(system.m)
+    digit_rule = (u >= b - u[:, None]) & (u <= m - 1 + b - u[:, None])  # b <= u + v <= m-1+b
+    k = 0  # low digits per block, so a block of m^k rows holds at most 4M cells
+    while k < n and m ** (k + 1) * width <= 2**22:
+        k += 1
+    low, high = (reduce(np.kron, [digit_rule] * t, np.ones((1, 1), bool)) for t in (k, n - k))
+    # row p of high fixes the top n - k digits of i - lo, so the block starts at key p * m^k * W
+    keys = [np.flatnonzero(np.kron(row, low)) + p * m**k * width for p, row in enumerate(high)]
     return Prefractal._from_keys(system, n, np.concatenate(keys))
 
 

@@ -160,6 +160,26 @@ class DigitString:
         return f"DigitString({format_numeral(self)!r})"
 
 
+def _carry(system: DigitSystem, coeffs: dict[int, int]) -> DigitString:
+    """The numeral of sum(c * m**e) over coeffs, the one division loop of radix.
+
+    Walks the exponents upward from the lowest: each keeps the alphabet
+    digit d congruent to c + carry mod m and carries (c + carry - d) / m up.
+    Where nothing is carried it jumps to the next coefficient.
+    """
+    spots = sorted(coeffs, reverse=True)  # popped lowest first
+    digits, carry = {}, 0
+    while spots or carry:
+        if not carry:
+            e = spots[-1]
+        c = carry + (coeffs[spots.pop()] if spots and spots[-1] == e else 0)
+        d = system.digit_for(c)
+        if d:
+            digits[e] = d
+        carry, e = (c - d) // system.m, e + 1
+    return DigitString(system, digits)
+
+
 def int_to_digits(n: int, system: DigitSystem) -> DigitString:
     """Expand an integer into digits of the system.
 
@@ -172,15 +192,7 @@ def int_to_digits(n: int, system: DigitSystem) -> DigitString:
         raise DomainError(f"integer to expand must be an int, got {n!r}")
     if system.b == 0 and n < 0:
         raise DomainError(f"standard base cannot represent negative integer {n}")
-    digits = {}
-    e = 0
-    while n != 0:
-        d = system.digit_for(n)
-        if d:
-            digits[e] = d
-        n = (n - d) // system.m
-        e += 1
-    return DigitString(system, digits)
+    return _carry(system, {0: n})
 
 
 def digits_to_rational(x: DigitString) -> Fraction:
@@ -189,18 +201,16 @@ def digits_to_rational(x: DigitString) -> Fraction:
 
 
 def add(x: DigitString, y: DigitString) -> DigitString:
-    """Exact sum: the numeral of x + y, written by int_to_digits.
+    """Exact sum: the pointwise digit sums, carried upward.
 
     Each alphabet holds one digit per residue mod m, so a value has at
-    most one finite numeral.  Scaled by m**-low, low the lowest exponent
-    (or 0), the sum is an integer; its digits shift back down by low.
+    most one finite numeral, and the carry writes it.  Every carry is
+    small, so the work is linear in the number of digits.
     """
     if x.system != y.system:
         raise DomainError(f"mismatched digit systems: {x.system} vs {y.system}")
-    low = min(0, x.min_exponent or 0, y.min_exponent or 0)
-    n = (x.value() + y.value()) * x.system.m**-low
-    digits = int_to_digits(n.numerator, x.system)._digits
-    return DigitString(x.system, {e + low: d for e, d in digits.items()})
+    spots = x._digits.keys() | y._digits.keys()
+    return _carry(x.system, {e: x.digit(e) + y.digit(e) for e in spots})
 
 
 def carry_free(x: DigitString, y: DigitString) -> bool:

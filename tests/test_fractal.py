@@ -40,6 +40,24 @@ from trihex import (
 BT = DigitSystem(3, 1)
 
 
+def scan_reference(system, n):
+    """Reference: the per-digit scan the digit route once ran, all W x W pairs in blocks."""
+    width = system.m**n
+    m, b, u = system.m, system.b, np.arange(width)
+    dtype = np.min_scalar_type(2 * (m - 1))  # holds every digit sum, so none wraps
+    digits = [(u // m**t % m).astype(dtype) for t in range(n)]
+    keys = []
+    block = max(1, 2**22 // width)  # rows of the pair mask, about 4M entries
+    for start in range(0, width, block):
+        ok = np.ones((min(block, width - start), width), dtype=bool)
+        for d in digits:
+            s = d[start : start + block, None] + d
+            ok &= (b <= s) & (s <= m - 1 + b)
+        # the flat mask index is (i - lo - start) * W + (j - lo)
+        keys.append(np.flatnonzero(ok) + start * width)
+    return Prefractal._from_keys(system, n, np.concatenate(keys))
+
+
 def brute_force_lattice(m, b):
     lo, hi = -b, m - 1 - b
     return {
@@ -132,6 +150,9 @@ class TestPrefractal:
         r = ifs_prefractal(DigitSystem(2, 0), 1)
         assert r.has_square(np.int64(1), 0) is True and r.has_square(1, 1) is False
         assert all(r.has_square(*row) for row in r.squares)
+        # unsigned and narrow numpy indices go through i - lo exactly, with no wrap or overflow
+        assert p.has_square(np.uint64(1), 0) is True and p.has_square(np.uint8(1), np.int8(-1))
+        assert p.has_square(np.int8(-4), np.uint8(3)) and not p.has_square(np.uint64(4), 4)
         for bad in (0.5, True, np.True_, "1", None, Fraction(1)):
             for i, j in ((bad, 0), (0, bad)):
                 with pytest.raises(DomainError, match="square indices must be integers"):
@@ -182,6 +203,17 @@ class TestIterate:
     def test_mismatched_system(self):
         with pytest.raises(DomainError):
             iterate(unit_square(BT), lattice(3, 0))
+
+    @pytest.mark.parametrize("points", [((5, 5),), ((1, 1),), ((0, 0), (-2, 1)), ((2**70, 0),)])
+    def test_lattice_points_outside_the_alphabet(self, points, monkeypatch):
+        # each set has a point with k, h or k + h outside the alphabet [-1, 1]
+        def no_keys(*args):
+            raise AssertionError("keys built")
+
+        p = unit_square(BT)
+        monkeypatch.setattr(Prefractal, "_from_keys", no_keys)
+        with pytest.raises(DomainError, match="lattice point outside the alphabet of base 3b1"):
+            iterate(p, fractal.GeneratorLattice(BT, points))
 
     def test_resource_cap(self):
         p = ifs_prefractal(DigitSystem(2, 0), 4)
@@ -293,7 +325,17 @@ class TestDigitConstruction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20, peak
+        assert peak < 16 * 2**20, peak
+
+    def test_kronecker_power_matches_scan(self):
+        cases = [(system, n) for system in legal_systems(6) for n in range(17)
+                 if lattice_cardinality(system.m, system.b) ** n <= 10**5]
+        # digit sums past int8 at depth 1, and depths with more than one block of m^k rows
+        cases += [(DigitSystem(m, b), 1) for m, b in ((129, 0), (200, 0), (255, 127))]
+        cases += [(DigitSystem(2, 0), 12), (DigitSystem(5, 2), 5)]
+        for system, n in cases:
+            p, ref = prefractal_by_digits(system, n), scan_reference(system, n)
+            assert p == ref and p._keys.tobytes() == ref._keys.tobytes(), (system, n)
 
 
 class TestNesting:

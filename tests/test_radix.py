@@ -17,6 +17,7 @@ from trihex import (
     frac_digit_choices,
     int_to_digits,
     parse_numeral,
+    radix,
 )
 
 BT = DigitSystem(3, 1)  # balanced ternary
@@ -155,26 +156,16 @@ class TestAdd:
                 assert all(system.has_digit(s.digit(e)) for e in s.exponents())
 
 
-def carry_loop_add(x, y):
-    """Reference: the digit-by-digit carry loop, lowest exponent first, that add once ran."""
-    system = x.system
-    if x.is_zero:
-        return y
-    if y.is_zero:
-        return x
-    lo = min(x.min_exponent, y.min_exponent)
-    hi = max(x.max_exponent, y.max_exponent)
-    out = {}
-    carry = 0
-    e = lo
-    while e <= hi or carry:
-        s = x.digit(e) + y.digit(e) + carry
-        d = system.digit_for(s)
-        carry = (s - d) // system.m
-        if d:
-            out[e] = d
-        e += 1
-    return DigitString(system, out)
+def exact_sum_add(x, y):
+    """Reference: int_to_digits on the exact sum scaled to an integer, as add once ran.
+
+    Scaled by m**-low, low the lowest exponent (or 0), x + y is an integer;
+    its digits shift back down by low.
+    """
+    low = min(0, x.min_exponent or 0, y.min_exponent or 0)
+    n = (x.value() + y.value()) * x.system.m**-low
+    digits = int_to_digits(n.numerator, x.system)._digits
+    return DigitString(x.system, {e + low: d for e, d in digits.items()})
 
 
 class TestAddMatchesCarryLoop:
@@ -194,7 +185,31 @@ class TestAddMatchesCarryLoop:
                 x, y = numeral(system), numeral(system)
                 pairs += [(x, y), (x, zero), (zero, y), (x, x)]
             for x, y in pairs:
-                assert add(x, y) == carry_loop_add(x, y), (x, y)
+                assert add(x, y) == exact_sum_add(x, y), (x, y)
+
+    def test_add_is_digitwise(self, monkeypatch):
+        # pinned to the carry over pointwise digit sums: no exact value, no integer expansion
+        rng = random.Random(0xD161)
+        cases = []
+        for system in legal_systems(6):
+            for _ in range(20):
+                x, y = rand_string(rng, system, 8), rand_string(rng, system, 8)
+                cases.append((x, y, exact_sum_add(x, y)))
+
+        def no_exact_sum(*args):
+            raise AssertionError("add left the digits")
+
+        monkeypatch.setattr(radix, "int_to_digits", no_exact_sum)
+        monkeypatch.setattr(DigitString, "value", no_exact_sum)
+        for x, y, want in cases:
+            assert add(x, y) == want, (x, y)
+
+    def test_sixty_thousand_digits(self):
+        rng = random.Random(0x60000)
+        system = DigitSystem(2, 0)
+        x, y = (DigitString(system, {e: rng.randint(0, 1) for e in range(-30_000, 30_000)})
+                for _ in range(2))
+        assert add(x, y) == exact_sum_add(x, y)
 
 
 class TestCarryFree:
