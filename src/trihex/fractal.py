@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -232,8 +233,9 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
     The child of square (i, j) under shift (k, h) is (i + k*m^depth,
     j + h*m^depth) at depth + 1: on keys, the shifted digits k + b and h + b
     go on top of the parent's.  Distinct parents and shifts never collide;
-    a duplicate aborts rather than being silently merged.  A shift with k,
-    h or k + h outside the alphabet raises DomainError before any key.
+    a duplicate aborts rather than being silently merged.  A shift with a
+    coordinate that is not an integer, or with k, h or k + h outside the
+    alphabet, raises DomainError before any key.
     """
     if p.system != lat.system:
         raise DomainError(f"prefractal system {p.system} does not match lattice {lat.system}")
@@ -245,8 +247,11 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
     _key_frame(p.system, p.depth + 1)  # the child depth is gated before any key arithmetic
     lo, hi = p.system.min_digit, p.system.max_digit
     outside = DomainError(f"lattice point outside the alphabet of base {p.system}")
+    flat = list(chain.from_iterable(lat.points))
+    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, flat))):
+        raise outside  # before int64, which would truncate 0.5 and take True as 1
     try:
-        k, h = np.array(lat.points, dtype=np.int64).reshape(-1, 2).T
+        k, h = np.array(flat, dtype=np.int64).reshape(-1, 2).T
     except OverflowError:  # past int64 is outside the alphabet too
         raise outside from None
     if not np.all((lo <= k) & (k <= hi) & (lo <= h) & (h <= hi) & (lo <= k + h) & (k + h <= hi)):

@@ -133,15 +133,10 @@ class DigitString:
         return max(self._digits) if self._digits else None
 
     def value(self) -> Fraction:
-        """Exact value sum(digit * m**e) over the stored exponents."""
-        if not self._digits:
-            return Fraction(0)
-        m = self.system.m
-        low = min(self._digits)
-        scaled = sum(d * m ** (e - low) for e, d in self._digits.items())
-        if low >= 0:
-            return Fraction(scaled * m**low)
-        return Fraction(scaled, m**-low)
+        """Exact value sum(digit * m**e) over the stored exponents, summed in halves."""
+        m, low, items = self.system.m, min(self._digits, default=0), self._digits.items()
+        scaled = _scaled(m, low, items if len(items) <= _RUN else sorted(items))
+        return Fraction(scaled * m**low) if low >= 0 else Fraction(scaled, m**-low)
 
     def __eq__(self, other) -> bool:
         return (
@@ -158,6 +153,22 @@ class DigitString:
 
     def __repr__(self) -> str:
         return f"DigitString({format_numeral(self)!r})"
+
+
+_RUN = 32  # digits that _scaled sums one power at a time
+
+
+def _scaled(m: int, low: int, items) -> int:
+    """sum(d * m**(e - low)) over the (e, d) items, low their lowest exponent.
+
+    Past _RUN items, which then come sorted, it sums the halves as
+    lo + hi * m**gap, so the big products are balanced and subquadratic.
+    """
+    if len(items) <= _RUN:
+        return sum(d * m ** (e - low) for e, d in items)
+    half = len(items) // 2
+    mid = items[half][0]
+    return _scaled(m, low, items[:half]) + _scaled(m, mid, items[half:]) * m ** (mid - low)
 
 
 def _carry(system: DigitSystem, coeffs: dict[int, int]) -> DigitString:
@@ -200,6 +211,13 @@ def digits_to_rational(x: DigitString) -> Fraction:
     return x.value()
 
 
+def _digit_sums(x: DigitString, y: DigitString) -> dict[int, int]:
+    """The pointwise digit sums of x and y over both numerals' exponents."""
+    if x.system != y.system:
+        raise DomainError(f"mismatched digit systems: {x.system} vs {y.system}")
+    return {e: x.digit(e) + y.digit(e) for e in x._digits.keys() | y._digits.keys()}
+
+
 def add(x: DigitString, y: DigitString) -> DigitString:
     """Exact sum: the pointwise digit sums, carried upward.
 
@@ -207,19 +225,12 @@ def add(x: DigitString, y: DigitString) -> DigitString:
     most one finite numeral, and the carry writes it.  Every carry is
     small, so the work is linear in the number of digits.
     """
-    if x.system != y.system:
-        raise DomainError(f"mismatched digit systems: {x.system} vs {y.system}")
-    spots = x._digits.keys() | y._digits.keys()
-    return _carry(x.system, {e: x.digit(e) + y.digit(e) for e in spots})
+    return _carry(x.system, _digit_sums(x, y))
 
 
 def carry_free(x: DigitString, y: DigitString) -> bool:
-    """True when every pointwise digit sum stays inside the alphabet."""
-    if x.system != y.system:
-        raise DomainError(f"mismatched digit systems: {x.system} vs {y.system}")
-    system = x.system
-    spots = set(x.exponents()) | set(y.exponents())
-    return all(system.has_digit(x.digit(e) + y.digit(e)) for e in spots)
+    """True when add carries nothing: every pointwise digit sum is in the alphabet."""
+    return all(map(x.system.has_digit, _digit_sums(x, y).values()))
 
 
 def _depth(n) -> int:
@@ -294,13 +305,10 @@ _TOKEN_RE = re.compile(r"\A-?[0-9]+\Z")
 
 def format_numeral(x: DigitString) -> str:
     """Render a digit string in the bracketed text format, with interior zeros."""
-    top = x.max_exponent
-    start = max(top if top is not None else 0, 0)
-    tokens = [str(x.digit(e)) for e in range(start, -1, -1)]
-    bottom = x.min_exponent
-    if bottom is not None and bottom < 0:
-        tokens.append(".")
-        tokens.extend(str(x.digit(e)) for e in range(-1, bottom - 1, -1))
+    top, low = max(x.max_exponent or 0, 0), min(x.min_exponent or 0, 0)
+    tokens = [str(x.digit(e)) for e in range(top, low - 1, -1)]
+    if low:
+        tokens.insert(top + 1, ".")  # after exponent 0
     return "[{}]@{}".format(" ".join(tokens), x.system)
 
 
@@ -315,16 +323,10 @@ def parse_numeral(text: str) -> DigitString:
     if tokens.count(".") > 1:
         raise DomainError(f"more than one radix point in numeral: {text!r}")
     point = tokens.index(".") if "." in tokens else len(tokens)
+    del tokens[point : point + 1]  # the radix point, if any
     digits = {}
-
-    def put(tok: str, e: int) -> None:
+    for spot, tok in enumerate(tokens):
         if not _TOKEN_RE.match(tok):
             raise DomainError(f"bad digit token {tok!r} in numeral: {text!r}")
-        digits[e] = int(tok)
-
-    ipart, fpart = tokens[:point], tokens[point + 1 :]
-    for spot, tok in enumerate(ipart):
-        put(tok, len(ipart) - 1 - spot)
-    for spot, tok in enumerate(fpart):
-        put(tok, -(spot + 1))
+        digits[point - 1 - spot] = int(tok)
     return DigitString(system, digits)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -346,6 +347,24 @@ class TestExpansions:
                 assert iv.contains(DigitString(system, digits).value())
 
 
+BAD_NUMERALS = [
+    "",
+    "[1 2]",
+    "1 2@3b0",
+    "[1 2]@3",
+    "[1 2]@b0",
+    "[3]@3b0",
+    "[-2]@3b1",
+    "[1 . 2 . 3]@4b0",
+    "[x]@3b0",
+    "[1.5]@3b0",
+    "[1]@1b0",
+    "[1]@3b2",
+    "[\u0663 \u0661]@\u0665b0",
+    "[\u0661]@3b0",
+]
+
+
 class TestNumeralText:
     def test_format_examples(self):
         assert format_numeral(int_to_digits(14, BT)) == "[1 -1 -1 -1]@3b1"
@@ -360,25 +379,139 @@ class TestNumeralText:
                 x = rand_string(rng, system)
                 assert parse_numeral(format_numeral(x)) == x
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            "[1 2]",
-            "1 2@3b0",
-            "[1 2]@3",
-            "[1 2]@b0",
-            "[3]@3b0",
-            "[-2]@3b1",
-            "[1 . 2 . 3]@4b0",
-            "[x]@3b0",
-            "[1.5]@3b0",
-            "[1]@1b0",
-            "[1]@3b2",
-            "[\u0663 \u0661]@\u0665b0",
-            "[\u0661]@3b0",
-        ],
-    )
+    @pytest.mark.parametrize("bad", BAD_NUMERALS)
     def test_parse_rejects(self, bad):
         with pytest.raises(DomainError):
             parse_numeral(bad)
+
+
+
+# The numeral layer as it was before add and carry_free shared one pointwise
+# sum, the text format was walked once each way and value() summed in halves.
+_NUMERAL_RE = re.compile(r"\A\s*\[([^\[\]@]*)\]@([0-9]+)b([0-9]+)\s*\Z")
+_TOKEN_RE = re.compile(r"\A-?[0-9]+\Z")
+
+
+def value_reference(x):
+    """Reference: one power of m per digit, quadratic in the number of digits."""
+    if not x._digits:
+        return Fraction(0)
+    m = x.system.m
+    low = min(x._digits)
+    scaled = sum(d * m ** (e - low) for e, d in x._digits.items())
+    if low >= 0:
+        return Fraction(scaled * m**low)
+    return Fraction(scaled, m**-low)
+
+
+def carry_free_reference(x, y):
+    """Reference: its own system check and its own pointwise sums."""
+    if x.system != y.system:
+        raise DomainError(f"mismatched digit systems: {x.system} vs {y.system}")
+    system = x.system
+    spots = set(x.exponents()) | set(y.exponents())
+    return all(system.has_digit(x.digit(e) + y.digit(e)) for e in spots)
+
+
+def format_reference(x):
+    """Reference: the integer part and the fraction part in two walks."""
+    top = x.max_exponent
+    start = max(top if top is not None else 0, 0)
+    tokens = [str(x.digit(e)) for e in range(start, -1, -1)]
+    bottom = x.min_exponent
+    if bottom is not None and bottom < 0:
+        tokens.append(".")
+        tokens.extend(str(x.digit(e)) for e in range(-1, bottom - 1, -1))
+    return "[{}]@{}".format(" ".join(tokens), x.system)
+
+
+def parse_reference(text):
+    """Reference: the integer part and the fraction part in two loops."""
+    m = _NUMERAL_RE.match(text)
+    if not m:
+        raise DomainError(f"malformed numeral: {text!r}")
+    body, radix, balance = m.groups()
+    system = DigitSystem(int(radix), int(balance))
+    tokens = body.split()
+    if tokens.count(".") > 1:
+        raise DomainError(f"more than one radix point in numeral: {text!r}")
+    point = tokens.index(".") if "." in tokens else len(tokens)
+    digits = {}
+
+    def put(tok, e):
+        if not _TOKEN_RE.match(tok):
+            raise DomainError(f"bad digit token {tok!r} in numeral: {text!r}")
+        digits[e] = int(tok)
+
+    ipart, fpart = tokens[:point], tokens[point + 1 :]
+    for spot, tok in enumerate(ipart):
+        put(tok, len(ipart) - 1 - spot)
+    for spot, tok in enumerate(fpart):
+        put(tok, -(spot + 1))
+    return DigitString(system, digits)
+
+
+def reference_numerals(rng, system):
+    """The zero numeral, then random ones: dense, wholly above or below 0, sparse with gaps."""
+    alpha = list(system.digits())
+    yield DigitString(system)
+    for _ in range(25):
+        span = rng.choice([1, 3, 12, 40, 120])
+        for lo in (-span, 0, 1, -2 * span):  # straddling, from 0 up, above 0, below 0
+            yield DigitString(system, {e: rng.choice(alpha) for e in range(lo, lo + span)})
+        gaps = rng.sample(range(-5 * span, 5 * span), min(span, 6))  # sparse
+        yield DigitString(system, {e: rng.choice(alpha) for e in gaps})
+
+
+def reference_texts(rng, x):
+    """x's numeral text, and variants with padding zeros, loose spaces and '-0' digits."""
+    text = format_reference(x)
+    yield text
+    body, tail = text[1:].split("]")
+    tokens = ["0"] * rng.randint(0, 3) + body.split()
+    if "." not in tokens:
+        tokens.append(".")
+    tokens += ["-0"] * rng.randint(0, 2)
+    yield "  [{}]{} ".format("   ".join(tokens), tail)
+    yield "[{}]{}".format(" ".join(tok.replace("1", "01") for tok in tokens), tail)
+
+
+class TestNumeralLayerMatchesReference:
+    @pytest.mark.parametrize("system", list(legal_systems(9)), ids=str)
+    def test_random_numerals(self, system):
+        rng = random.Random(0x4EF + system.m * 10 + system.b)
+        xs = list(reference_numerals(rng, system))
+        for x in xs:
+            assert x.value() == value_reference(x), x
+            assert format_numeral(x) == format_reference(x)
+            for text in reference_texts(rng, x):
+                assert parse_numeral(text) == parse_reference(text), text
+        for x, y in zip(xs, xs[1:] + xs[:1]):
+            assert add(x, y) == exact_sum_add(x, y), (x, y)
+            assert carry_free(x, y) == carry_free_reference(x, y), (x, y)
+            assert carry_free(x, x) == carry_free_reference(x, x), x
+
+    def test_twenty_thousand_digits(self):
+        rng = random.Random(0x20000)
+        x = DigitString(BT, {e: rng.choice((-1, 0, 1)) for e in range(-12_000, 8_000)})
+        assert x.value() == value_reference(x)
+        text = format_numeral(x)
+        assert text == format_reference(x)
+        assert parse_numeral(text) == parse_reference(text) == x
+
+    @pytest.mark.parametrize("bad", BAD_NUMERALS + ["[1 -]@3b0", "[. 1 x]@3b0"])
+    def test_parse_error_texts(self, bad):
+        with pytest.raises(DomainError) as want:
+            parse_reference(bad)
+        with pytest.raises(DomainError) as got:
+            parse_numeral(bad)
+        assert str(got.value) == str(want.value)
+
+    def test_mismatched_systems_text(self):
+        x, y = DigitString(DigitSystem(3, 0), {0: 1}), DigitString(BT, {0: 1})
+        with pytest.raises(DomainError) as want:
+            carry_free_reference(x, y)
+        for op in (add, carry_free):
+            with pytest.raises(DomainError) as got:
+                op(x, y)
+            assert str(got.value) == str(want.value)
