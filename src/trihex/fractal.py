@@ -15,8 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import chain
+from functools import cache, reduce
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -115,9 +114,39 @@ def _gate(system: DigitSystem, n: int, max_squares: int | None) -> tuple[int, in
 _BLOCK = 65536  # squares per writer chunk, so a writer's memory does not grow with its output
 
 
+@cache  # on first use: verify and dim import this module but format nothing
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII groups "0000".."9999" as uint32s, and the pad rows of _field."""
+    digits = np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4, indexing="ij")
+    # pad row d - 1 (+ 19 if negative): 0xFF over the last d of 20 columns, "-" just before them
+    keep = np.tri(19, 20, dtype=np.uint8)[:, ::-1] * 255
+    pads = np.concatenate([keep, keep + np.eye(19, 20, 1, np.uint8)[:, ::-1] * ord("-")])
+    return np.stack(digits, axis=-1).reshape(-1, 4).view(np.uint32), pads
+
+
+def _field(v: np.ndarray) -> np.ndarray:
+    """`b"%d" % x` for each x in the int64 column v, right-aligned in NUL-padded uint8 rows."""
+    quad_table, pad_table = _digit_tables()
+    a = np.abs(v)
+    w = len(str(a.max(initial=0))) + 1  # a column to spare for "-"
+    # the ASCII digits of a's base-10^4 groups, most significant first
+    quads = np.take(quad_table, a[:, None] // 10 ** (4 * np.arange((w + 3) // 4))[::-1] % 10000)
+    rows = np.searchsorted(10 ** np.arange(1, w - 1), a, side="right") + 19 * (v < 0)
+    pads = np.take(np.ascontiguousarray(pad_table[:, -w:]), rows, axis=0)
+    # min(digit, 0xFF) keeps a digit, min("0", NUL) blanks a leading zero, min("0", "-") signs
+    return np.minimum(quads.view(np.uint8)[:, -w:], pads, out=pads)
+
+
 def _rows(template: bytes, *columns: np.ndarray) -> bytes:
     """`template % row` for each row of the given integer columns, concatenated."""
-    return b"".join(map(template.__mod__, zip(*(c.tolist() for c in columns))))
+    head, *tails = template.split(b"%d")
+    fields = [_field(c) for c in columns]
+    skeleton = head + b"".join(bytes(f.shape[1]) + tail for f, tail in zip(fields, tails))
+    mat = np.tile(np.frombuffer(skeleton, np.uint8), (len(columns[0]), 1))  # a row per square
+    starts = np.cumsum([len(head)] + [f.shape[1] + len(tail) for f, tail in zip(fields, tails)])
+    for f, start in zip(fields, starts):
+        mat[:, start : start + f.shape[1]] = f
+    return mat.tobytes().translate(None, b"\0")  # no literal holds a NUL
 
 
 def _index_pairs(squares) -> np.ndarray:
@@ -247,12 +276,12 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
     _key_frame(p.system, p.depth + 1)  # the child depth is gated before any key arithmetic
     lo, hi = p.system.min_digit, p.system.max_digit
     outside = DomainError(f"lattice point outside the alphabet of base {p.system}")
-    flat = list(chain.from_iterable(lat.points))
-    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, flat))):
-        raise outside  # before int64, which would truncate 0.5 and take True as 1
-    try:
+    try:  # int64 would truncate 0.5 and take True as 1, so the types are checked first
+        flat = [t for k, h in lat.points for t in (k, h)]
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in {*map(type, flat)}):
+            raise outside
         k, h = np.array(flat, dtype=np.int64).reshape(-1, 2).T
-    except OverflowError:  # past int64 is outside the alphabet too
+    except (TypeError, ValueError, OverflowError):  # not a pair of integers, or past int64
         raise outside from None
     if not np.all((lo <= k) & (k <= hi) & (lo <= h) & (h <= hi) & (lo <= k + h) & (k + h <= hi)):
         raise outside

@@ -205,7 +205,8 @@ class TestIterate:
             iterate(unit_square(BT), lattice(3, 0))
 
     @pytest.mark.parametrize("points", [((5, 5),), ((1, 1),), ((0, 0), (-2, 1)), ((2**70, 0),),
-                                        ((0.5, 0.9),), ((True, 0),)])
+                                        ((0.5, 0.9),), ((True, 0),), ((1, -1, 0), (0, 0, 1)),
+                                        ((1,),), (5,)])
     def test_lattice_points_outside_the_alphabet(self, points, monkeypatch):
         # each set has a point that is not a pair of integers, or has k, h or k + h
         # outside the alphabet [-1, 1]

@@ -12,9 +12,16 @@ from trihex import (
     Prefractal,
     cli,
     ifs_prefractal,
+    index_bounds,
     rasterize,
     write_pbm,
 )
+from trihex.fractal import _rows
+
+
+def rows_reference(template, *columns):
+    """Reference: the per-square formatter the writers once ran, `template % row` in Python."""
+    return b"".join(map(template.__mod__, zip(*(c.tolist() for c in columns))))
 
 
 def ref_json(p):
@@ -72,9 +79,27 @@ REFERENCE = {
 }
 
 
+def extreme_sets():
+    """Corner squares of the widest key frames, where indices have the most digits."""
+    for system, n in ((DigitSystem(2, 0), 31), (DigitSystem(3, 1), 19),
+                      (DigitSystem(3037000499, 0), 1)):
+        lo, hi = index_bounds(system, n)
+        yield Prefractal(system, n, [(lo, lo), (lo, hi), (hi, lo), (hi, hi)])
+
+
 @pytest.mark.parametrize("fmt", sorted(REFERENCE))
 @pytest.mark.parametrize("p", list(subsets()), ids=repr)
 def test_gen_matches_reference_on_stdout_and_out_file(p, fmt, capsys, tmp_path, monkeypatch):
+    assert_gen_matches_reference(p, fmt, capsys, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "svg"])  # a PBM raster would be 2^31 wide
+@pytest.mark.parametrize("p", list(extreme_sets()), ids=repr)
+def test_gen_matches_reference_at_extreme_indices(p, fmt, capsys, tmp_path, monkeypatch):
+    assert_gen_matches_reference(p, fmt, capsys, tmp_path, monkeypatch)
+
+
+def assert_gen_matches_reference(p, fmt, capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("trihex.fractal.ifs_prefractal", lambda system, n, cap: p)
     argv = ["gen", "--base", str(p.system.m), "--balance", str(p.system.b),
             "--depth", str(p.depth), "--format", fmt]
@@ -87,6 +112,25 @@ def test_gen_matches_reference_on_stdout_and_out_file(p, fmt, capsys, tmp_path, 
     assert cli.run([*argv, "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert stdout == target.read_bytes() == REFERENCE[fmt](p)
+
+
+BOUND = 3_037_000_499  # the widest key frame, W = floor(sqrt(2^63)), holds |i|, |j| < W
+EDGES = [0, -1, BOUND, -BOUND] + [s * v for k in range(1, 11) for v in (10**k - 1, 10**k)
+                                  for s in (1, -1)]
+
+
+@pytest.mark.parametrize("template", [b",[%d,%d]", b"%d %d\n",
+                                      b'<rect x="%d" y="%d" width="1" height="1"/>\n'])
+def test_rows_match_reference(template):
+    rng = np.random.default_rng(11)
+    edges = np.array(EDGES, dtype=np.int64)
+    columns = [(edges, edges[::-1]), (edges[:0], edges[:0]), (edges[:1], edges[-1:])]
+    for n in (1, 2, 7, 1000):
+        columns += [tuple(rng.integers(-BOUND, BOUND + 1, size=(2, n)))]
+    # one digit count per column, so each field's width is set by one value
+    columns += [(np.full(3, v), np.full(3, -v)) for v in EDGES]
+    for i, j in columns:
+        assert _rows(template, i, j) == rows_reference(template, i, j), (i, j)
 
 
 def test_pbm_matches_reference_on_any_values_and_shapes():
