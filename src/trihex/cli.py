@@ -80,8 +80,10 @@ def _cmd_convert(args) -> int:
     if args.integer is not None:
         if args.base is None:
             raise _UsageError("convert --int needs --base")
-        system = DigitSystem(args.base, args.balance)
+        system = DigitSystem(args.base, args.balance or 0)
         print(format_numeral(int_to_digits(args.integer, system)))
+    elif args.base is not None or args.balance is not None:
+        raise _UsageError("convert --x takes no --base or --balance; the numeral names its base")
     else:
         print(digits_to_rational(parse_numeral(args.x)))
     return 0
@@ -170,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--int", dest="integer", type=_int_flag, help="integer to expand")
     p.add_argument("--x", help="numeral to evaluate, e.g. '[1 0 . 2]@3b0'")
     p.add_argument("--base", type=_int_flag, help="radix m (with --int)")
-    p.add_argument("--balance", type=_int_flag, default=0, help="balance offset b (with --int)")
+    p.add_argument("--balance", type=_int_flag, help="balance offset b (with --int, default 0)")
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("add", help="exact sum of two numerals of one system")

@@ -10,7 +10,6 @@ every operation here is exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -30,22 +29,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DigitSystem:
+class _Record:
+    """Frozen record of its __slots__ fields; not a dataclass, which would load inspect."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, *value) -> None:  # also __delattr__
+        raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class DigitSystem(_Record):
     """Radix m with digit alphabet [-b, m-1-b]."""
 
-    m: int
-    b: int = 0
+    __slots__ = ("m", "b")
 
-    def __post_init__(self) -> None:
-        if type(self.m) is not int or type(self.b) is not int:  # bool is not a radix
+    def __init__(self, m: int, b: int = 0) -> None:
+        super().__init__(m, b)
+        if type(m) is not int or type(b) is not int:  # bool is not a radix
             raise DomainError("radix and balance must be integers")
-        if self.m < 2:
-            raise DomainError(f"radix must be at least 2, got m={self.m}")
-        if self.b != 0 and (self.m <= 2 or not 1 <= self.b <= self.m // 2):
-            raise DomainError(
-                f"balance must be 0, or 1 <= b <= m/2 with m > 2; got m={self.m}, b={self.b}"
-            )
+        if m < 2:
+            raise DomainError(f"radix must be at least 2, got {m=}")
+        if b != 0 and (m <= 2 or not 1 <= b <= m // 2):
+            raise DomainError(f"balance must be 0, or 1 <= b <= m/2 with m > 2; got {m=}, {b=}")
 
     @property
     def min_digit(self) -> int:
@@ -75,16 +102,17 @@ class DigitSystem:
         return f"{self.m}b{self.b}"
 
 
-@dataclass(frozen=True)
-class ValueInterval:
+class ValueInterval(_Record):
     """Closed range of values of pure-fractional digit strings.
 
     All-minimal digits sum to -b/(m-1) and all-maximal digits to
     (m-1-b)/(m-1); for b = 0 the interval is [0, 1].
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        super().__init__(lo, hi)
 
     def contains(self, r) -> bool:
         return self.lo <= r <= self.hi
@@ -289,10 +317,14 @@ def expansions(r, system: DigitSystem, depth: int) -> list[DigitString]:
     digit order, most significant first; at most two are alive at any depth.
     """
     a, q = _remainder(r, system)
-    prefixes = [((), a)]  # (digits from exponent -1 down, remainder numerator over q)
+    prefixes = [([], a)]  # (digits from exponent -1 down, remainder numerator over q)
     for _ in range(_depth(depth)):
-        prefixes = [(ds + (d,), nxt) for ds, num in prefixes
-                    for d, nxt in _digit_window(num, q, system)]
+        grown = []
+        for ds, num in prefixes:  # ds grows in place; only a two-digit window copies it
+            *low, (d, nxt) = _digit_window(num, q, system)
+            grown += [(ds + [c], n) for c, n in low] + [(ds, nxt)]  # copied before d goes in
+            ds.append(d)
+        prefixes = grown
     return [DigitString(system, zip(range(-1, -depth - 1, -1), ds)) for ds, _ in prefixes]
 
 

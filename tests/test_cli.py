@@ -258,6 +258,19 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "convert", "--int", "1", "--x", "[1]@3b0", "--base", "3")
         assert code == 2 and "usage error" in err
 
+    @pytest.mark.parametrize("flags", [("--base", "5"), ("--balance", "0"), ("--balance", "1"),
+                                       ("--base", "3", "--balance", "0")])
+    def test_convert_x_takes_no_system_flags(self, capsys, flags):
+        # the numeral names its own system, so these flags would be silently ignored
+        code, out, err = invoke(capsys, "convert", "--x", "[1 0 . 2]@3b0", *flags)
+        assert (code, out) == (2, "") and "usage error" in err
+        assert invoke(capsys, "convert", "--x", "[1 0 . 2]@3b0") == (0, "11/3\n", "")
+
+    def test_convert_int_balance_defaults_to_zero(self, capsys):
+        for flags, want in [((), "[1 1 2]@3b0\n"), (("--balance", "0"), "[1 1 2]@3b0\n"),
+                            (("--balance", "1"), "[1 -1 -1 -1]@3b1\n")]:
+            assert invoke(capsys, "convert", "--int", "14", "--base", "3", *flags) == (0, want, "")
+
     def test_convert_int_needs_base(self, capsys):
         code, _, err = invoke(capsys, "convert", "--int", "14")
         assert code == 2 and "usage error" in err

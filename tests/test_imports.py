@@ -32,11 +32,13 @@ numeral_and_member = [
 for argv in numeral_and_member:
     assert trihex.cli.run(argv) == 0, argv
 print("numpy after numeral and member commands:", "numpy" in sys.modules)
+print("dataclasses, inspect after them:", "dataclasses" in sys.modules, "inspect" in sys.modules)
 trihex.Prefractal
 print("numpy after Prefractal:", "numpy" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     assert trihex.cli.run(["gen", "--base", "2", "--depth", "2", "--format", "text"]) == 0
 print("numpy after gen:", "numpy" in sys.modules)
+print("dataclasses, inspect after gen:", "dataclasses" in sys.modules, "inspect" in sys.modules)
 """
 
 
@@ -51,8 +53,10 @@ def test_numeral_and_member_commands_run_without_numpy():
         "numpy after numpy-free names and cli: False",
         "true", "[1 -1 -1 -1]@3b1", "11/3", "[1 0 2]@3b0", "true",
         "numpy after numeral and member commands: False",
+        "dataclasses, inspect after them: False False",
         "numpy after Prefractal: True",
         "numpy after gen: True",  # gen does load it, so the check above is not vacuous
+        "dataclasses, inspect after gen: True True",  # as do fractal and numpy
     ]
 
 

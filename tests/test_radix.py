@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -56,6 +58,67 @@ class TestDigitSystem:
         assert DigitSystem(2, 0).interval() == ValueInterval(Fraction(0), Fraction(1))
         assert BT.interval() == ValueInterval(Fraction(-1, 2), Fraction(1, 2))
         assert DigitSystem(5, 2).interval() == ValueInterval(Fraction(-1, 2), Fraction(1, 2))
+
+
+HALF = ValueInterval(Fraction(-1, 2), Fraction(1, 2))
+
+
+class TestRecords:
+    """DigitSystem and ValueInterval keep the contract of the frozen dataclasses they were."""
+
+    def test_construction(self):
+        assert DigitSystem(m=3, b=1) == DigitSystem(3, 1) == DigitSystem(3, b=1)
+        assert DigitSystem(5) == DigitSystem(m=5) == DigitSystem(5, 0)
+        assert ValueInterval(lo=Fraction(-1, 2), hi=Fraction(1, 2)) == HALF
+        with pytest.raises(TypeError):
+            DigitSystem(3, 1, 0)
+        with pytest.raises(TypeError):
+            DigitSystem(3, c=1)
+
+    @pytest.mark.parametrize("m,b,message", [
+        ("3", 0, "radix and balance must be integers"),
+        (3, None, "radix and balance must be integers"),
+        (1, 5, "radix must be at least 2, got m=1"),  # the radix is checked before the balance
+        (2, 1, "balance must be 0, or 1 <= b <= m/2 with m > 2; got m=2, b=1"),
+        (7, 4, "balance must be 0, or 1 <= b <= m/2 with m > 2; got m=7, b=4"),
+    ])
+    def test_validation_messages(self, m, b, message):
+        with pytest.raises(DomainError) as err:
+            DigitSystem(m, b)
+        assert str(err.value) == message
+
+    def test_equality_and_hash(self):
+        assert DigitSystem(3, 1) != (3, 1) and (3, 1) != DigitSystem(3, 1)
+        assert DigitSystem(3, 1) != DigitSystem(3, 0)
+        assert HALF != (HALF.lo, HALF.hi) and ValueInterval(3, 1) != DigitSystem(3, 1)
+        assert DigitSystem(3, 1).__eq__((3, 1)) is NotImplemented
+        assert hash(DigitSystem(3, 1)) == hash((3, 1))
+        assert hash(HALF) == hash((Fraction(-1, 2), Fraction(1, 2)))
+        assert len({DigitSystem(3, 1), DigitSystem(3, 1), BT}) == 1
+
+    def test_text(self):
+        assert repr(BT) == "DigitSystem(m=3, b=1)" and str(BT) == "3b1"
+        assert repr(HALF) == str(HALF) == "ValueInterval(lo=Fraction(-1, 2), hi=Fraction(1, 2))"
+        assert str(DigitSystem(12)) == "12b0"
+
+    @pytest.mark.parametrize("record", [BT, HALF], ids=["DigitSystem", "ValueInterval"])
+    def test_frozen_without_dict(self, record):
+        for name in ("m", "b", "lo", "hi", "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert not hasattr(record, "__dict__")
+        assert record == copy.copy(record)  # unchanged by the attempts above
+
+    @pytest.mark.parametrize("record", [BT, HALF], ids=["DigitSystem", "ValueInterval"])
+    def test_copies(self, record):
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [pickle.loads(pickle.dumps(record, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is type(record) and twin == record
+            assert repr(twin) == repr(record) and hash(twin) == hash(record)
 
 
 class TestDigitString:
@@ -285,6 +348,16 @@ class TestFracDigitChoices:
                     assert rems == {iv.lo, iv.hi}
 
 
+def expansions_reference(r, system, depth):
+    """Reference: each level copies every prefix tuple, so the walk is quadratic in depth."""
+    a, q = radix._remainder(r, system)
+    prefixes = [((), a)]  # (digits from exponent -1 down, remainder numerator over q)
+    for _ in range(radix._depth(depth)):
+        prefixes = [(ds + (d,), nxt) for ds, num in prefixes
+                    for d, nxt in radix._digit_window(num, q, system)]
+    return [DigitString(system, zip(range(-1, -depth - 1, -1), ds)) for ds, _ in prefixes]
+
+
 class TestExpansions:
     def test_half_base_two(self):
         got = expansions(Fraction(1, 2), DigitSystem(2, 0), 3)
@@ -310,6 +383,27 @@ class TestExpansions:
         assert third.min_exponent >= -5000
         assert abs(third.value() - Fraction(1, 3)) <= Fraction(1, 2**5000)
         assert len(expansions(Fraction(1, 2), DigitSystem(2, 0), 3000)) == 2
+
+    @pytest.mark.parametrize("system", list(legal_systems(7)), ids=str)
+    def test_matches_reference(self, system):
+        rng = random.Random(0xE4 + system.m * 10 + system.b)
+        iv = system.interval()
+        # the endpoints, the m-adic points (two expansions each), and random rationals
+        rs = [iv.lo, iv.hi, Fraction(0)]
+        rs += [iv.lo + Fraction(k, system.m**j) * (iv.hi - iv.lo) for j in (1, 2, 3)
+               for k in range(1, system.m**j)]
+        rs += [iv.lo + Fraction(rng.randint(0, q), q) * (iv.hi - iv.lo)
+               for q in (rng.randint(1, 500) for _ in range(40))]
+        for r in rs:
+            for depth in (0, 1, 2, 5, 17):
+                assert expansions(r, system, depth) == expansions_reference(r, system, depth), r
+        assert len(expansions(Fraction(1, 2), DigitSystem(2, 0), 9)) == 2
+
+    def test_deep_matches_reference(self):
+        r = Fraction(5, 16)  # two expansions, 0.0101 and 0.0100111..., that split at digit 4
+        got = expansions(r, DigitSystem(2, 0), 20_000)
+        assert len(got) == 2
+        assert got == expansions_reference(r, DigitSystem(2, 0), 20_000)
 
     def test_prefix_accuracy(self):
         rng = random.Random(0xE)
