@@ -4,14 +4,14 @@ Sierpinski-type plane fractals carved out by digitwise sum conditions.
 The public names are each submodule's `__all__`, loaded on first access,
 so `import trihex` alone imports no submodule.  Names are looked up in
 the numpy-free submodules first; numpy only comes in with the square-set
-modules (fractal, dimension, render).
+modules (fractal, render).
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("errors", "radix", "membership", "fractal", "dimension", "render")
+_SUBMODULES = ("errors", "radix", "membership", "dimension", "fractal", "render")
 
 
 def _modules():

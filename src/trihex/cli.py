@@ -5,8 +5,9 @@ the construction equivalence check.
 Exit codes: 0 success, 1 domain/resource/file/memory error or a number past
 Python's int/str digit limit (one-line diagnostic on stderr), 2 usage error.
 
-Only the commands that build square sets (gen, render, dim, verify) import
-numpy, inside their handlers; the numeral and member commands run without it.
+Only the commands that build square sets (gen, render, verify) import numpy,
+inside their handlers.  The numeral, member and dim commands run without it;
+dim counts squares by the closed form instead of building them.
 """
 
 from __future__ import annotations

@@ -5,18 +5,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .errors import DomainError
-from .fractal import DEFAULT_MAX_SQUARES, ifs_prefractal, lattice_cardinality
-from .radix import DigitSystem, _depth
+from .errors import DEFAULT_MAX_SQUARES, DomainError
+from .radix import DigitSystem, _depth, _gate, lattice_cardinality
 
 __all__ = [
     "DimensionReport",
     "closed_form_dim",
     "box_count_estimate",
     "lebesgue_measure",
-    "dim_limit_table",
     "report_to_json",
 ]
 
@@ -43,12 +40,14 @@ def box_count_estimate(system: DigitSystem, n: int,
                        max_squares: int | None = DEFAULT_MAX_SQUARES) -> DimensionReport:
     """Count the depth-n squares (side m^-n) and read the dimension off the count.
 
-    The count is taken from the actual geometric construction, not from
-    the closed-form power, so the report cross-checks both.
+    The geometric construction never merges squares, so the count is l^n,
+    l = lattice_cardinality(m, b), and no square is built.  The depth and
+    the square cap pass the construction's gates, in its order.
     """
     if _depth(n) < 1:
         raise DomainError(f"box counting needs depth >= 1, got {n}")
-    count = len(ifs_prefractal(system, n, max_squares))
+    _gate(system, n, max_squares)
+    count = lattice_cardinality(system.m, system.b) ** n
     estimate = math.log(count) / (n * math.log(system.m))
     closed = closed_form_dim(system.m, system.b)
     return DimensionReport(system.m, system.b, n, count, estimate, closed,
@@ -59,11 +58,6 @@ def lebesgue_measure(system: DigitSystem, n: int) -> Fraction:
     """Exact area of the depth-n prefractal: (l / m^2)^n."""
     ell = lattice_cardinality(system.m, system.b)
     return Fraction(ell, system.m**2) ** _depth(n)
-
-
-def dim_limit_table(b: int, m_values: Iterable[int]) -> list[tuple[int, float]]:
-    """Closed-form dimension for each radix at a fixed balance."""
-    return [(m, closed_form_dim(m, b)) for m in m_values]
 
 
 def report_to_json(report: DimensionReport) -> str:

@@ -14,20 +14,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, reduce
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .membership import MembershipAutomaton, member
-from .radix import DigitSystem, _depth, _rational
+from .radix import DigitSystem, _gate, _key_frame, _rational, index_bounds, lattice_cardinality
 
 __all__ = [
     "DEFAULT_MAX_SQUARES",
     "GeneratorLattice",
-    "GridSquare",
     "Prefractal",
     "MembershipAutomaton",
     "lattice",
@@ -47,26 +45,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeneratorLattice:
-    """Shift pairs (k, h) with k, h and k + h all inside the digit alphabet."""
+    """Shift pairs (k, h) of integers with k, h and k + h all inside the digit alphabet.
+
+    Checked once, here: any other point is a DomainError.
+    """
 
     system: DigitSystem
     points: tuple[tuple[int, int], ...]
 
+    def __post_init__(self) -> None:
+        lo, hi = self.system.min_digit, self.system.max_digit
+        outside = DomainError(f"lattice point outside the alphabet of base {self.system}")
+        try:  # int64 would truncate 0.5 and take True as 1, so the types are checked first
+            pairs = tuple(map(tuple, self.points))  # tuples pass as they are; lists are copied
+            flat = [t for k, h in pairs for t in (k, h)]
+            kinds = {*map(type, flat)}
+            if not all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds):
+                raise outside
+            k, h = np.array(flat, dtype=np.int64).reshape(-1, 2).T
+        except (TypeError, ValueError, OverflowError):  # not a pair of integers, or past int64
+            raise outside from None
+        coords = np.stack([k, h, k + h])  # int64 arrays: unlike numpy scalars, k + h never warns
+        if not np.all((lo <= coords) & (coords <= hi)):
+            raise outside
+        object.__setattr__(self, "points", pairs)  # edits to the caller's lists cannot reach it
+
     def __len__(self) -> int:
         return len(self.points)
-
-
-class GridSquare(NamedTuple):
-    """The closed cell [i, i+1]/m^depth x [j, j+1]/m^depth."""
-
-    depth: int
-    i: int
-    j: int
-
-    def bounds(self, system: DigitSystem) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """(x0, x1, y0, y1) of the cell, exact."""
-        side = Fraction(1, system.m**self.depth)
-        return (self.i * side, (self.i + 1) * side, self.j * side, (self.j + 1) * side)
 
 
 def lattice(m: int, b: int = 0) -> GeneratorLattice:
@@ -77,38 +82,6 @@ def lattice(m: int, b: int = 0) -> GeneratorLattice:
     pts = tuple((k, h) for k in range(lo, hi + 1)
                 for h in range(max(lo, lo - k), min(hi, hi - k) + 1))
     return GeneratorLattice(system, pts)
-
-
-def lattice_cardinality(m: int, b: int = 0) -> int:
-    """Closed form m(m+1)/2 + b(m-1-b) for the generator lattice size."""
-    DigitSystem(m, b)
-    return m * (m + 1) // 2 + b * (m - 1 - b)
-
-
-def index_bounds(system: DigitSystem, depth: int) -> tuple[int, int]:
-    """Range of indices with a depth-n digit decomposition inside the alphabet."""
-    g = (system.m ** _depth(depth) - 1) // (system.m - 1)  # 1 + m + ... + m^(depth-1)
-    return -system.b * g, (system.m - 1 - system.b) * g
-
-
-def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
-    """(lo, W) of the depth-n square key (i - lo) * W + (j - lo), W = m^n.
-
-    i - lo is i's digits shifted by b into [0, m-1], read as a base-m numeral.
-    """
-    # W = m^depth >= 2^depth, so past depth 31 the key overflows: reject before m^(2 depth)
-    if _depth(depth) > 31 or system.m ** (2 * depth) > 2**63:
-        raise DomainError(f"depth {depth} too deep for base {system}: keys overflow int64")
-    return index_bounds(system, depth)[0], system.m**depth
-
-
-def _gate(system: DigitSystem, n: int, max_squares: int | None) -> tuple[int, int]:
-    """_key_frame(system, n), after the square cap is checked: before any square or lattice."""
-    frame = _key_frame(system, n)
-    expected = lattice_cardinality(system.m, system.b) ** n
-    if max_squares is not None and expected > max_squares:
-        raise ResourceError(f"depth {n} needs {expected} squares, over the cap {max_squares}")
-    return frame
 
 
 _BLOCK = 65536  # squares per writer chunk, so a writer's memory does not grow with its output
@@ -262,9 +235,8 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
     The child of square (i, j) under shift (k, h) is (i + k*m^depth,
     j + h*m^depth) at depth + 1: on keys, the shifted digits k + b and h + b
     go on top of the parent's.  Distinct parents and shifts never collide;
-    a duplicate aborts rather than being silently merged.  A shift with a
-    coordinate that is not an integer, or with k, h or k + h outside the
-    alphabet, raises DomainError before any key.
+    a duplicate aborts rather than being silently merged.  The shifts were
+    checked when the lattice was built.
     """
     if p.system != lat.system:
         raise DomainError(f"prefractal system {p.system} does not match lattice {lat.system}")
@@ -274,17 +246,7 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
             f"depth {p.depth + 1} needs {expected} squares, over the cap {max_squares}"
         )
     _key_frame(p.system, p.depth + 1)  # the child depth is gated before any key arithmetic
-    lo, hi = p.system.min_digit, p.system.max_digit
-    outside = DomainError(f"lattice point outside the alphabet of base {p.system}")
-    try:  # int64 would truncate 0.5 and take True as 1, so the types are checked first
-        flat = [t for k, h in lat.points for t in (k, h)]
-        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in {*map(type, flat)}):
-            raise outside
-        k, h = np.array(flat, dtype=np.int64).reshape(-1, 2).T
-    except (TypeError, ValueError, OverflowError):  # not a pair of integers, or past int64
-        raise outside from None
-    if not np.all((lo <= k) & (k <= hi) & (lo <= h) & (h <= hi) & (lo <= k + h) & (k + h <= hi)):
-        raise outside
+    k, h = np.array(lat.points, dtype=np.int64).reshape(-1, 2).T
     m, b, s = p.system.m, p.system.b, p.system.m**p.depth
     base = p._keys + (p._keys // s) * ((m - 1) * s)  # u*s + v becomes u*m*s + v
     shifts = ((k + b) * m * s + h + b) * s

@@ -4,7 +4,8 @@ A digit system fixes a radix m >= 2 and a balance offset b, giving the
 digit alphabet [-b, m-1-b].  b = 0 is the ordinary alphabet 0..m-1;
 b >= 1 shifts it to straddle zero (balanced ternary is m=3, b=1).
 Digit strings are finite, exponent-indexed numerals with a radix point;
-every operation here is exact.
+every operation here is exact.  The depth gate, the square-key frame and
+the square count of the depth-n prefractals live here too, without numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 __all__ = [
     "DigitSystem",
@@ -23,6 +24,8 @@ __all__ = [
     "add",
     "carry_free",
     "frac_digit_choices",
+    "lattice_cardinality",
+    "index_bounds",
     "expansions",
     "format_numeral",
     "parse_numeral",
@@ -266,6 +269,38 @@ def _depth(n) -> int:
     if type(n) is not int or n < 0:
         raise DomainError(f"depth must be a nonnegative integer, got {n!r}")
     return n
+
+
+def lattice_cardinality(m: int, b: int = 0) -> int:
+    """Closed form m(m+1)/2 + b(m-1-b) for the generator lattice size."""
+    DigitSystem(m, b)
+    return m * (m + 1) // 2 + b * (m - 1 - b)
+
+
+def index_bounds(system: DigitSystem, depth: int) -> tuple[int, int]:
+    """Range of indices with a depth-n digit decomposition inside the alphabet."""
+    g = (system.m ** _depth(depth) - 1) // (system.m - 1)  # 1 + m + ... + m^(depth-1)
+    return -system.b * g, (system.m - 1 - system.b) * g
+
+
+def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
+    """(lo, W) of the depth-n square key (i - lo) * W + (j - lo), W = m^n.
+
+    i - lo is i's digits shifted by b into [0, m-1], read as a base-m numeral.
+    """
+    # W = m^depth >= 2^depth, so past depth 31 the key overflows: reject before m^(2 depth)
+    if _depth(depth) > 31 or system.m ** (2 * depth) > 2**63:
+        raise DomainError(f"depth {depth} too deep for base {system}: keys overflow int64")
+    return index_bounds(system, depth)[0], system.m**depth
+
+
+def _gate(system: DigitSystem, n: int, max_squares: int | None) -> tuple[int, int]:
+    """_key_frame(system, n), after the square cap is checked: before any square or lattice."""
+    frame = _key_frame(system, n)
+    expected = lattice_cardinality(system.m, system.b) ** n
+    if max_squares is not None and expected > max_squares:
+        raise ResourceError(f"depth {n} needs {expected} squares, over the cap {max_squares}")
+    return frame
 
 
 def _digit_window(a: int, q: int, system: DigitSystem) -> list[tuple[int, int]]:

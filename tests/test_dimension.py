@@ -9,7 +9,6 @@ from trihex import (
     DomainError,
     box_count_estimate,
     closed_form_dim,
-    dim_limit_table,
     ifs_prefractal,
     lattice_cardinality,
     lebesgue_measure,
@@ -66,8 +65,12 @@ class TestBoxCount:
             assert r.abs_error == 0.0
 
     def test_count_consistency_with_geometry(self):
-        for system in (DigitSystem(2, 0), DigitSystem(3, 1), DigitSystem(4, 2)):
-            for n in (1, 2, 3):
+        # the count is the closed form; the construction it stands for is the reference
+        for system in legal_systems(7):
+            ell = lattice_cardinality(system.m, system.b)
+            for n in range(1, 11):  # l >= 3, so l^11 > 10^5
+                if ell**n > 10**5:
+                    break
                 r = box_count_estimate(system, n)
                 assert r.box_count == len(ifs_prefractal(system, n))
                 assert r.box_count == lattice_cardinality(system.m, system.b) ** n
@@ -114,20 +117,14 @@ class TestLebesgueMeasure:
 
 class TestLimitTable:
     def test_standard_base_values(self):
-        table = dim_limit_table(0, [2, 10, 100])
-        assert [m for m, _ in table] == [2, 10, 100]
-        assert table[0][1] == pytest.approx(1.584963, abs=5e-7)
-        assert table[1][1] == pytest.approx(1.740363, abs=5e-7)
-        assert table[2][1] == pytest.approx(1.851646, abs=5e-7)
-        dims = [d for _, d in table]
+        dims = [closed_form_dim(m, 0) for m in (2, 10, 100)]
+        assert dims[0] == pytest.approx(1.584963, abs=5e-7)
+        assert dims[1] == pytest.approx(1.740363, abs=5e-7)
+        assert dims[2] == pytest.approx(1.851646, abs=5e-7)
         assert all(a < b for a, b in zip(dims, dims[1:]))
         assert all(d < 2 for d in dims)
 
     def test_balanced_series(self):
-        table = dim_limit_table(1, [3, 9, 99])
-        dims = [d for _, d in table]
+        dims = [closed_form_dim(m, 1) for m in (3, 9, 99)]
         assert all(a < b for a, b in zip(dims, dims[1:]))
         assert all(1 < d < 2 for d in dims)
-
-    def test_singleton(self):
-        assert dim_limit_table(2, [5]) == [(5, closed_form_dim(5, 2))]

@@ -11,7 +11,6 @@ from conftest import legal_systems
 from trihex import (
     DigitSystem,
     DomainError,
-    GridSquare,
     MembershipAutomaton,
     Prefractal,
     ResourceError,
@@ -32,6 +31,7 @@ from trihex import (
     prefractal_by_digits,
     prefractal_from_json,
     prefractal_to_json,
+    radix,
     rasterize,
     unit_square,
     write_svg,
@@ -176,12 +176,6 @@ class TestPrefractal:
         with pytest.raises(DomainError):
             Prefractal(system, limit + 1, [(0, 0)])
 
-    def test_grid_square_bounds(self):
-        sq = GridSquare(2, -4, 3)
-        assert sq.bounds(BT) == (
-            Fraction(-4, 9), Fraction(-3, 9), Fraction(3, 9), Fraction(4, 9),
-        )
-
 
 class TestIterate:
     def test_depth_one_base_two(self):
@@ -206,10 +200,11 @@ class TestIterate:
 
     @pytest.mark.parametrize("points", [((5, 5),), ((1, 1),), ((0, 0), (-2, 1)), ((2**70, 0),),
                                         ((0.5, 0.9),), ((True, 0),), ((1, -1, 0), (0, 0, 1)),
-                                        ((1,),), (5,)])
+                                        ((1,),), (5,), ((np.int64(2**62), np.int64(2**62)),)])
     def test_lattice_points_outside_the_alphabet(self, points, monkeypatch):
         # each set has a point that is not a pair of integers, or has k, h or k + h
-        # outside the alphabet [-1, 1]
+        # outside the alphabet [-1, 1]; k + h on numpy scalars would also warn of overflow,
+        # which pytest makes an error
         def no_keys(*args):
             raise AssertionError("keys built")
 
@@ -217,6 +212,15 @@ class TestIterate:
         monkeypatch.setattr(Prefractal, "_from_keys", no_keys)
         with pytest.raises(DomainError, match="lattice point outside the alphabet of base 3b1"):
             iterate(p, fractal.GeneratorLattice(BT, points))
+        with pytest.raises(DomainError, match="lattice point outside the alphabet of base 3b1"):
+            fractal.GeneratorLattice(BT, points)
+
+    def test_numpy_integer_lattice_points_kept_as_checked(self):
+        points = [(np.int64(k), np.int64(h)) for k, h in lattice(3, 1).points]
+        lat = fractal.GeneratorLattice(BT, points)
+        points.append((5, 5))  # the lattice holds the copy it checked
+        assert lat.points == lattice(3, 1).points
+        assert iterate(unit_square(BT), lat) == ifs_prefractal(BT, 1)
 
     def test_resource_cap(self):
         p = ifs_prefractal(DigitSystem(2, 0), 4)
@@ -257,10 +261,11 @@ class TestEntryGates:
             ifs_prefractal(DigitSystem(2, 0), 20)
         with pytest.raises(ResourceError, match="depth 10 "):
             ifs_prefractal(DigitSystem(2, 0), 10, max_squares=100)
-        for build in (ifs_prefractal, prefractal_by_digits):
+        for build in (ifs_prefractal, prefractal_by_digits, box_count_estimate):
             with pytest.raises(ResourceError,
                                match="depth 1 needs 4501500 squares, over the cap 10"):
                 build(DigitSystem(3000, 0), 1, max_squares=10)
+        for build in (ifs_prefractal, prefractal_by_digits):  # box counting needs depth >= 1
             with pytest.raises(ResourceError, match="depth 0 needs 1 squares, over the cap 0"):
                 build(DigitSystem(2, 0), 0, max_squares=0)
         # depth 0 needs no lattice, however large the base
@@ -597,12 +602,12 @@ class TestJson:
     def test_deep_depth_rejected_before_the_power(self, monkeypatch):
         # W = m^depth >= 2^depth overflows past depth 31 whatever m is, so
         # m^depth, which grows with the depth, is never built
-        monkeypatch.setattr(fractal, "index_bounds", None)
+        monkeypatch.setattr(radix, "index_bounds", None)  # where _key_frame reads it
         for depth in (32, 10**8, 10**30):
             with pytest.raises(DomainError):
                 prefractal_from_json(
                     '{"m":2,"b":0,"depth":%d,"count":0,"squares":[]}' % depth)
-            for build in (ifs_prefractal, prefractal_by_digits):
+            for build in (ifs_prefractal, prefractal_by_digits, box_count_estimate):
                 with pytest.raises(DomainError):
                     build(DigitSystem(2, 0), depth)
 

@@ -1,4 +1,4 @@
-"""Lazy package exports, and numpy kept out of the numeral and member commands."""
+"""Lazy package exports, and numpy kept out of the numeral, member and dim commands."""
 
 import importlib
 import os
@@ -33,6 +33,8 @@ for argv in numeral_and_member:
     assert trihex.cli.run(argv) == 0, argv
 print("numpy after numeral and member commands:", "numpy" in sys.modules)
 print("dataclasses, inspect after them:", "dataclasses" in sys.modules, "inspect" in sys.modules)
+assert trihex.cli.run(["dim", "--base", "3", "--balance", "1", "--depth", "8"]) == 0
+print("numpy, trihex.fractal after dim:", "numpy" in sys.modules, "trihex.fractal" in sys.modules)
 trihex.Prefractal
 print("numpy after Prefractal:", "numpy" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
@@ -54,6 +56,9 @@ def test_numeral_and_member_commands_run_without_numpy():
         "true", "[1 -1 -1 -1]@3b1", "11/3", "[1 0 2]@3b0", "true",
         "numpy after numeral and member commands: False",
         "dataclasses, inspect after them: False False",
+        '{"m":3,"b":1,"depth":8,"box_count":5764801,'
+        '"estimate":1.77124374916,"closed_form":1.77124374916,"abs_error":0}',
+        "numpy, trihex.fractal after dim: False False",
         "numpy after Prefractal: True",
         "numpy after gen: True",  # gen does load it, so the check above is not vacuous
         "dataclasses, inspect after gen: True True",  # as do fractal and numpy
@@ -62,9 +67,9 @@ def test_numeral_and_member_commands_run_without_numpy():
 
 EXPORTS = [
     "DEFAULT_MAX_SQUARES", "DigitString", "DigitSystem", "DimensionReport", "DomainError",
-    "GeneratorLattice", "GridSquare", "MembershipAutomaton", "Prefractal", "RasterSpec",
+    "GeneratorLattice", "MembershipAutomaton", "Prefractal", "RasterSpec",
     "ResourceError", "ValueInterval", "add", "box_count_estimate", "carry_free",
-    "closed_form_dim", "covers_point", "digits_to_rational", "dim_limit_table",
+    "closed_form_dim", "covers_point", "digits_to_rational",
     "equivalence_check", "expansions", "format_numeral", "frac_digit_choices", "ifs_prefractal",
     "index_bounds", "int_to_digits", "iterate", "lattice", "lattice_cardinality",
     "lebesgue_measure", "member", "parse_numeral", "prefractal_by_digits",
