@@ -5,8 +5,9 @@ geometric route (each square spawns one child per generator-lattice
 shift) and the digit route (the n-fold Kronecker power of the m x m
 matrix that marks the digit pairs whose sum stays inside the alphabet;
 the flat indices of its set cells are the square keys).
-`equivalence_check` compares them as sets.  The membership search lives
-in the numpy-free `trihex.membership` and is re-exported here.
+`equivalence_check` compares them block by block, one digit block at a
+time.  The membership search lives in the numpy-free `trihex.membership`
+and is re-exported here.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def lattice(m: int, b: int = 0) -> GeneratorLattice:
 
 
 _BLOCK = 65536  # squares per writer chunk, so a writer's memory does not grow with its output
+_SCAN_CELLS = 2**20  # cells of the digit scan per block, so verify adds about one block to the set
 
 
 @cache  # on first use: verify and dim import this module but format nothing
@@ -99,6 +101,9 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 
 def _field(v: np.ndarray) -> np.ndarray:
     """`b"%d" % x` for each x in the int64 column v, right-aligned in NUL-padded uint8 rows."""
+    lo, hi = (int(v.min()), int(v.max())) if v.size else (0, 0)
+    if hi - lo < v.size - 1:  # the column spans fewer values than rows: format each once
+        return np.take(_field(np.arange(lo, hi + 1)), v - lo, axis=0)
     quad_table, pad_table = _digit_tables()
     a = np.abs(v)
     w = len(str(a.max(initial=0))) + 1  # a column to spare for "-"
@@ -110,16 +115,17 @@ def _field(v: np.ndarray) -> np.ndarray:
     return np.minimum(quads.view(np.uint8)[:, -w:], pads, out=pads)
 
 
-def _rows(template: bytes, *columns: np.ndarray) -> bytes:
+def _rows(template: bytes, *columns: np.ndarray) -> bytearray:
     """`template % row` for each row of the given integer columns, concatenated."""
     head, *tails = template.split(b"%d")
     fields = [_field(c) for c in columns]
     skeleton = head + b"".join(bytes(f.shape[1]) + tail for f, tail in zip(fields, tails))
-    mat = np.tile(np.frombuffer(skeleton, np.uint8), (len(columns[0]), 1))  # a row per square
+    buf = bytearray(skeleton) * len(columns[0])
+    mat = np.frombuffer(buf, np.uint8).reshape(-1, len(skeleton))  # a row per square, over buf
     starts = np.cumsum([len(head)] + [f.shape[1] + len(tail) for f, tail in zip(fields, tails)])
     for f, start in zip(fields, starts):
         mat[:, start : start + f.shape[1]] = f
-    return mat.tobytes().translate(None, b"\0")  # no literal holds a NUL
+    return buf.translate(None, b"\0")  # no literal holds a NUL
 
 
 def _index_pairs(squares) -> np.ndarray:
@@ -266,34 +272,51 @@ def ifs_prefractal(system: DigitSystem, n: int,
     return p
 
 
-def prefractal_by_digits(system: DigitSystem, n: int,
-                         max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
-    """Depth-n squares selected by the digit condition alone.
+def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Iterator[np.ndarray]:
+    """The digit route's keys, ascending, in blocks of whole scan rows of <= _SCAN_CELLS cells.
 
     On digits shifted by b into [0, m-1] the rule is one m x m boolean
     matrix, A[u, v] = (b <= u + v <= m-1+b).  The kept cells (i - lo, j - lo)
     are those of the n-fold Kronecker power of A, and a cell's flat index
-    in that W x W power is the square key.  All W^2 cells are built, in
-    blocks, independently of the geometric route.
+    in that W x W power is the square key.  All W^2 cells are scanned, a block
+    at a time, independently of the geometric route, after the gates.
     """
     _, width = _gate(system, n, max_squares)
     if max_squares is not None and width * width > 32 * max_squares:
         raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
     m, b, u = system.m, system.b, np.arange(system.m)
     digit_rule = (u >= b - u[:, None]) & (u <= m - 1 + b - u[:, None])  # b <= u + v <= m-1+b
-    k = 0  # low digits per block, so a block of m^k rows holds at most 4M cells
-    while k < n and m ** (k + 1) * width <= 2**22:
+    k = 0  # low digits per block: a block of m^k rows holds <= _SCAN_CELLS cells, or one row
+    while k < n and m ** (k + 1) * width <= _SCAN_CELLS:
         k += 1
     low, high = (reduce(np.kron, [digit_rule] * t, np.ones((1, 1), bool)) for t in (k, n - k))
     # row p of high fixes the top n - k digits of i - lo, so the block starts at key p * m^k * W
-    keys = [np.flatnonzero(np.kron(row, low)) + p * m**k * width for p, row in enumerate(high)]
-    return Prefractal._from_keys(system, n, np.concatenate(keys))
+    for p, row in enumerate(high):
+        keys = np.flatnonzero(np.kron(row, low))
+        keys += p * m**k * width  # in place: a second copy of the block would set the peak
+        yield keys
+
+
+def prefractal_by_digits(system: DigitSystem, n: int,
+                         max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
+    """Depth-n squares selected by the digit condition alone (see _digit_blocks)."""
+    keys = np.concatenate(list(_digit_blocks(system, n, max_squares)))
+    return Prefractal._from_keys(system, n, keys)
+
+
+def _matches_digit_route(p: Prefractal, max_squares: int | None) -> tuple[bool, int]:
+    """(p's keys are the digit route's, the digit key count), one ascending block at a time."""
+    same, at = True, 0
+    for block in _digit_blocks(p.system, p.depth, max_squares):
+        same = same and np.array_equal(p._keys[at : at + len(block)], block)
+        at += len(block)  # counted past a difference, for the MISMATCH line
+    return same and at == len(p), at
 
 
 def equivalence_check(system: DigitSystem, n: int,
                       max_squares: int | None = DEFAULT_MAX_SQUARES) -> bool:
-    """Whether the geometric and digit constructions agree as square sets."""
-    return ifs_prefractal(system, n, max_squares) == prefractal_by_digits(system, n, max_squares)
+    """Whether the geometric and digit constructions give the same squares."""
+    return _matches_digit_route(ifs_prefractal(system, n, max_squares), max_squares)[0]
 
 
 def covers_point(p: Prefractal, x, y) -> bool:

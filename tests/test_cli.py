@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import trihex
-from trihex import prefractal_from_json, ifs_prefractal, DigitSystem, Prefractal, fractal
+from trihex import prefractal_from_json, ifs_prefractal, DigitSystem, fractal
 from trihex.cli import run
 
 
@@ -210,17 +210,39 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "error: digit scan at depth 13 exceeds the cap 1600000\n"
 
+    @staticmethod
+    def edit_digit_blocks(monkeypatch, edit):
+        """Make verify compare against the digit route's blocks as edited."""
+        blocks = fractal._digit_blocks
+
+        def edited(system, n, max_squares):
+            return edit(list(blocks(system, n, max_squares)))
+
+        monkeypatch.setattr(fractal, "_digit_blocks", edited)
+
     def test_mismatch_line(self, capsys, monkeypatch):
-        scan = fractal.prefractal_by_digits
-
-        def one_square_short(system, n, max_squares):
-            p = scan(system, n, max_squares)
-            return Prefractal(system, n, list(p)[1:])
-
-        monkeypatch.setattr(fractal, "prefractal_by_digits", one_square_short)
+        self.edit_digit_blocks(monkeypatch, lambda blocks: [blocks[0][1:], *blocks[1:]])
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
         assert (code, out) == (1, "")
         assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 8 digit squares)\n"
+
+    def test_mismatch_line_extra_key_after_the_last_block(self, capsys, monkeypatch):
+        self.edit_digit_blocks(monkeypatch, lambda blocks: [*blocks, blocks[-1][-1:] + 1])
+        code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
+        assert (code, out) == (1, "")
+        assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 10 digit squares)\n"
+
+    def test_mismatch_line_key_changed_in_a_middle_block(self, capsys, monkeypatch):
+        monkeypatch.setattr(fractal, "_SCAN_CELLS", 4)  # one row of the 4 x 4 scan per block
+
+        def shift_last_key_of_block_one(blocks):
+            assert [b.tolist() for b in blocks] == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
+            return [blocks[0], blocks[1] + [0, 1], *blocks[2:]]
+
+        self.edit_digit_blocks(monkeypatch, shift_last_key_of_block_one)
+        code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
+        assert (code, out) == (1, "")
+        assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 9 digit squares)\n"
 
     def test_depth_zero_cap_is_one_rule_for_gen_and_verify(self, capsys):
         for command in ("gen", "verify"):

@@ -345,6 +345,19 @@ class TestDigitConstruction:
             p, ref = prefractal_by_digits(system, n), scan_reference(system, n)
             assert p == ref and p._keys.tobytes() == ref._keys.tobytes(), (system, n)
 
+    @pytest.mark.parametrize("cells", [1, 5, 13, 50, 300])
+    def test_small_blocks_stream_the_same_keys(self, cells, monkeypatch):
+        # one-row blocks, and blocks of m^k rows that stop inside a group of the top digits
+        monkeypatch.setattr(fractal, "_SCAN_CELLS", cells)
+        for system in legal_systems(7):
+            for n in range(4 if system.m < 7 else 3):
+                blocks = list(fractal._digit_blocks(system, n, None))
+                keys = np.concatenate(blocks)
+                assert np.all(keys[1:] > keys[:-1]), (system, n, cells)
+                assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n, cells)
+                assert np.array_equal(keys, ifs_prefractal(system, n)._keys), (system, n, cells)
+                assert equivalence_check(system, n), (system, n, cells)
+
 
 class TestNesting:
     def test_floor_division_nesting_standard_base(self):

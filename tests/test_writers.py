@@ -187,3 +187,11 @@ def test_writer_memory_stays_near_the_square_set(fmt, tmp_path, monkeypatch):
             "--out", str(tmp_path / "out")]
     write = traced_peak(lambda: cli.run(argv))
     assert write <= 1.5 * build, (write, build)
+
+
+def test_verify_memory_stays_near_the_square_set(capsys):
+    """verify holds the geometric set and one digit block, not a second full key array."""
+    build = traced_peak(lambda: ifs_prefractal(DigitSystem(2, 0), 12))
+    check = traced_peak(lambda: cli.run(["verify", "--base", "2", "--depth", "12"]))
+    assert capsys.readouterr().out == "equivalence: ok (531441 squares)\n"
+    assert check <= 1.2 * build, (check, build)
