@@ -6,8 +6,8 @@ Exit codes: 0 success, 1 domain/resource/file/memory error or a number past
 Python's int/str digit limit (one-line diagnostic on stderr), 2 usage error.
 
 Only the commands that build square sets (gen, render, verify) import numpy,
-inside their handlers.  The numeral, member and dim commands run without it;
-dim counts squares by the closed form instead of building them.
+inside their handlers.  The numeral, member and dim commands load neither it
+nor dataclasses nor inspect; dim counts squares by the closed form instead.
 """
 
 from __future__ import annotations

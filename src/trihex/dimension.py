@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError
-from .radix import DigitSystem, _depth, _gate, lattice_cardinality
+from .radix import DigitSystem, _depth, _gate, _Record, lattice_cardinality
 
 __all__ = [
     "DimensionReport",
@@ -18,17 +17,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(_Record):
     """One box-count measurement against the closed form."""
 
-    m: int
-    b: int
-    depth: int
-    box_count: int
-    estimate: float
-    closed_form: float
-    abs_error: float
+    __slots__ = ("m", "b", "depth", "box_count", "estimate", "closed_form", "abs_error")
 
 
 def closed_form_dim(m: int, b: int = 0) -> float:

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .membership import MembershipAutomaton, member
-from .radix import DigitSystem, _gate, _key_frame, _rational, index_bounds, lattice_cardinality
+from .radix import (DigitSystem, _cap, _gate, _key_frame, _rational, _Record, index_bounds,
+                    lattice_cardinality)
 
 __all__ = [
     "DEFAULT_MAX_SQUARES",
@@ -44,24 +45,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeneratorLattice:
+class GeneratorLattice(_Record):
     """Shift pairs (k, h) of integers with k, h and k + h all inside the digit alphabet.
 
     Checked once, here: any other point is a DomainError.
     """
 
-    system: DigitSystem
-    points: tuple[tuple[int, int], ...]
+    __slots__ = ("system", "points")
 
-    def __post_init__(self) -> None:
-        lo, hi = self.system.min_digit, self.system.max_digit
-        outside = DomainError(f"lattice point outside the alphabet of base {self.system}")
+    def __init__(self, system: DigitSystem, points) -> None:
+        lo, hi = system.min_digit, system.max_digit
+        outside = DomainError(f"lattice point outside the alphabet of base {system}")
         try:  # int64 would truncate 0.5 and take True as 1, so the types are checked first
-            pairs = tuple(map(tuple, self.points))  # tuples pass as they are; lists are copied
+            pairs = tuple(map(tuple, points))  # tuples pass as they are; lists are copied
             flat = [t for k, h in pairs for t in (k, h)]
-            kinds = {*map(type, flat)}
-            if not all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds):
+            if not _integers(flat):
                 raise outside
             k, h = np.array(flat, dtype=np.int64).reshape(-1, 2).T
         except (TypeError, ValueError, OverflowError):  # not a pair of integers, or past int64
@@ -69,7 +67,7 @@ class GeneratorLattice:
         coords = np.stack([k, h, k + h])  # int64 arrays: unlike numpy scalars, k + h never warns
         if not np.all((lo <= coords) & (coords <= hi)):
             raise outside
-        object.__setattr__(self, "points", pairs)  # edits to the caller's lists cannot reach it
+        super().__init__(system, pairs)  # edits to the caller's lists cannot reach it
 
     def __len__(self) -> int:
         return len(self.points)
@@ -128,13 +126,18 @@ def _rows(template: bytes, *columns: np.ndarray) -> bytearray:
     return buf.translate(None, b"\0")  # no literal holds a NUL
 
 
+def _integers(values) -> bool:
+    """Whether every value is an int or a numpy integer, never a bool; each type checked once."""
+    return all(issubclass(t, (int, np.integer)) and t is not bool for t in {*map(type, values)})
+
+
 def _index_pairs(squares) -> np.ndarray:
     """Square indices as an int64 array; only exact integers are accepted."""
     if isinstance(squares, np.ndarray):
         exact = squares.dtype.kind != "b" and np.can_cast(squares.dtype, np.int64)
     else:
         try:
-            exact = all(type(v) is int for row in squares for v in row)
+            exact = _integers(chain.from_iterable(squares))
         except TypeError:
             raise DomainError("squares must be an array of (i, j) pairs") from None
     if not exact:
@@ -210,7 +213,7 @@ class Prefractal:
         return f"Prefractal(system={self.system}, depth={self.depth}, squares={len(self)})"
 
     def has_square(self, i: int, j: int) -> bool:
-        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in (i, j)):
+        if not _integers((i, j)):
             raise DomainError(f"square indices must be integers, got ({i!r}, {j!r})")
         i, j = int(i), int(j)  # i - lo on a numpy unsigned index would wrap or overflow
         lo, width = _key_frame(self.system, self.depth)
@@ -246,11 +249,7 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
     """
     if p.system != lat.system:
         raise DomainError(f"prefractal system {p.system} does not match lattice {lat.system}")
-    expected = len(p) * len(lat)
-    if max_squares is not None and expected > max_squares:
-        raise ResourceError(
-            f"depth {p.depth + 1} needs {expected} squares, over the cap {max_squares}"
-        )
+    _cap(p.depth + 1, len(p) * len(lat), max_squares)
     _key_frame(p.system, p.depth + 1)  # the child depth is gated before any key arithmetic
     k, h = np.array(lat.points, dtype=np.int64).reshape(-1, 2).T
     m, b, s = p.system.m, p.system.b, p.system.m**p.depth

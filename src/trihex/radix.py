@@ -33,11 +33,17 @@ __all__ = [
 
 
 class _Record:
-    """Frozen record of its __slots__ fields; not a dataclass, which would load inspect."""
+    """trihex's one record type: frozen __slots__ fields, hashed and pickled as their tuple.
+
+    Equal only within its class.  Not a dataclass, which would load dataclasses and inspect.
+    """
 
     __slots__ = ()
 
     def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, "
+                            f"got {len(values)}")
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -294,12 +300,16 @@ def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
     return index_bounds(system, depth)[0], system.m**depth
 
 
+def _cap(n: int, expected: int, max_squares: int | None) -> None:
+    """The one square cap: ResourceError when depth n needs more than max_squares squares."""
+    if max_squares is not None and expected > max_squares:
+        raise ResourceError(f"depth {n} needs {expected} squares, over the cap {max_squares}")
+
+
 def _gate(system: DigitSystem, n: int, max_squares: int | None) -> tuple[int, int]:
     """_key_frame(system, n), after the square cap is checked: before any square or lattice."""
     frame = _key_frame(system, n)
-    expected = lattice_cardinality(system.m, system.b) ** n
-    if max_squares is not None and expected > max_squares:
-        raise ResourceError(f"depth {n} needs {expected} squares, over the cap {max_squares}")
+    _cap(n, lattice_cardinality(system.m, system.b) ** n, max_squares)
     return frame
 
 

@@ -7,7 +7,6 @@ Row 0 of a raster is the top of the image (largest j), keeping +y up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
@@ -16,17 +15,15 @@ import numpy as np
 from . import fractal
 from .errors import DomainError
 from .fractal import Prefractal, _rows, _square_blocks
+from .radix import _Record
 
 __all__ = ["RasterSpec", "rasterize", "write_pbm", "write_svg"]
 
 
-@dataclass(frozen=True)
-class RasterSpec:
-    """Pixel geometry of a rendered prefractal: one pixel per grid cell."""
+class RasterSpec(_Record):
+    """Pixel geometry of a rendered prefractal, a pixel per grid cell; origin is (i_min, j_min)."""
 
-    origin: tuple[int, int]  # (i_min, j_min) of the bounding box
-    width: int
-    height: int
+    __slots__ = ("origin", "width", "height")
 
 
 def _bounding_box(p: Prefractal) -> RasterSpec:

@@ -133,6 +133,18 @@ class TestPrefractal:
             with pytest.raises(DomainError):
                 Prefractal(DigitSystem(2, 0), 1, bad)
 
+    def test_numpy_integers_in_rows(self):
+        p = ifs_prefractal(BT, 3)
+        for rows in (list(p.squares), [tuple(row) for row in p.squares],
+                     [(np.int8(i), j) for i, j in p]):
+            assert Prefractal(BT, 3, rows) == p
+        for bad in (True, np.True_, np.float64(1), 0.0):
+            for row in ((bad, 0), (0, bad)):
+                with pytest.raises(DomainError, match="^square indices must be integers$"):
+                    Prefractal(DigitSystem(2, 0), 1, [(0, 1), row])
+        with pytest.raises(DomainError, match="^square index does not fit in int64$"):
+            Prefractal(DigitSystem(2, 0), 1, [(np.uint64(2**63), 0)])
+
     def test_index_bounds(self):
         assert index_bounds(DigitSystem(2, 0), 3) == (0, 7)
         assert index_bounds(BT, 2) == (-4, 4)
@@ -224,8 +236,9 @@ class TestIterate:
 
     def test_resource_cap(self):
         p = ifs_prefractal(DigitSystem(2, 0), 4)
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError) as err:
             iterate(p, lattice(2, 0), max_squares=100)
+        assert str(err.value) == "depth 5 needs 243 squares, over the cap 100"
 
     def test_cardinality_law(self):
         for system in (DigitSystem(2, 0), DigitSystem(4, 1), DigitSystem(5, 2)):

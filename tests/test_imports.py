@@ -1,4 +1,4 @@
-"""Lazy package exports, and numpy kept out of the numeral, member and dim commands."""
+"""Lazy package exports; numpy, dataclasses and inspect kept out of the numpy-free commands."""
 
 import importlib
 import os
@@ -35,6 +35,7 @@ print("numpy after numeral and member commands:", "numpy" in sys.modules)
 print("dataclasses, inspect after them:", "dataclasses" in sys.modules, "inspect" in sys.modules)
 assert trihex.cli.run(["dim", "--base", "3", "--balance", "1", "--depth", "8"]) == 0
 print("numpy, trihex.fractal after dim:", "numpy" in sys.modules, "trihex.fractal" in sys.modules)
+print("dataclasses, inspect after dim:", "dataclasses" in sys.modules, "inspect" in sys.modules)
 trihex.Prefractal
 print("numpy after Prefractal:", "numpy" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
@@ -59,9 +60,10 @@ def test_numeral_and_member_commands_run_without_numpy():
         '{"m":3,"b":1,"depth":8,"box_count":5764801,'
         '"estimate":1.77124374916,"closed_form":1.77124374916,"abs_error":0}',
         "numpy, trihex.fractal after dim: False False",
+        "dataclasses, inspect after dim: False False",
         "numpy after Prefractal: True",
         "numpy after gen: True",  # gen does load it, so the check above is not vacuous
-        "dataclasses, inspect after gen: True True",  # as do fractal and numpy
+        "dataclasses, inspect after gen: False True",  # numpy loads inspect; no trihex module
     ]
 
 

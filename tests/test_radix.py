@@ -10,7 +10,10 @@ from conftest import legal_systems, rand_string
 from trihex import (
     DigitString,
     DigitSystem,
+    DimensionReport,
     DomainError,
+    GeneratorLattice,
+    RasterSpec,
     ValueInterval,
     add,
     carry_free,
@@ -19,6 +22,7 @@ from trihex import (
     format_numeral,
     frac_digit_choices,
     int_to_digits,
+    lattice,
     parse_numeral,
     radix,
 )
@@ -119,6 +123,69 @@ class TestRecords:
         for twin in copies:
             assert type(twin) is type(record) and twin == record
             assert repr(twin) == repr(record) and hash(twin) == hash(record)
+
+
+RESULTS = [  # (record, its field tuple, its repr)
+    (lattice(2, 0), (DigitSystem(2, 0), ((0, 0), (0, 1), (1, 0))),
+     "GeneratorLattice(system=DigitSystem(m=2, b=0), points=((0, 0), (0, 1), (1, 0)))"),
+    (RasterSpec((-4, -4), 9, 9), ((-4, -4), 9, 9),
+     "RasterSpec(origin=(-4, -4), width=9, height=9)"),
+    (DimensionReport(3, 1, 2, 49, 1.5, 1.75, 0.25), (3, 1, 2, 49, 1.5, 1.75, 0.25),
+     "DimensionReport(m=3, b=1, depth=2, box_count=49, estimate=1.5, closed_form=1.75, "
+     "abs_error=0.25)"),
+]
+each_result = pytest.mark.parametrize("record,fields,text", RESULTS,
+                                      ids=["GeneratorLattice", "RasterSpec", "DimensionReport"])
+
+
+class TestResultRecords:
+    """The other three records keep the contract of the frozen dataclasses they were."""
+
+    @each_result
+    def test_repr(self, record, fields, text):
+        assert repr(record) == text
+
+    @each_result
+    def test_equality_and_hash(self, record, fields, text):
+        assert record != fields and fields != record and record.__eq__(fields) is NotImplemented
+        assert record == type(record)(*fields)
+        assert hash(record) == hash(fields)
+
+    @each_result
+    def test_frozen_without_dict(self, record, fields, text):
+        for name in record.__slots__ + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert not hasattr(record, "__dict__")
+        assert record == type(record)(*fields)  # unchanged by the attempts above
+
+    @each_result
+    def test_copies(self, record, fields, text):
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [pickle.loads(pickle.dumps(record, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is type(record) and twin == record
+            assert repr(twin) == repr(record) and hash(twin) == hash(record)
+
+    @each_result
+    def test_wrong_field_count(self, record, fields, text):
+        for wrong in (fields[:-1], fields + (0,)):
+            with pytest.raises(TypeError, match=f"^{type(record).__name__}"):
+                type(record)(*wrong)
+
+    def test_field_count_message(self):
+        with pytest.raises(TypeError, match="^DimensionReport takes 7 fields, got 2$"):
+            DimensionReport(3, 1)
+
+    def test_unpickling_checks_a_lattice_again(self):
+        bad = object.__new__(GeneratorLattice)
+        for name, value in zip(bad.__slots__, (BT, ((5, 5),))):
+            object.__setattr__(bad, name, value)
+        with pytest.raises(DomainError, match="lattice point outside the alphabet of base 3b1"):
+            pickle.loads(pickle.dumps(bad))
 
 
 class TestDigitString:
