@@ -135,17 +135,16 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .fractal import _matches_digit_route, ifs_prefractal
+    from .fractal import _matches_digit_route
 
     system = DigitSystem(args.base, args.balance)
-    geometric = ifs_prefractal(system, args.depth, args.max_squares)
-    same, digit_count = _matches_digit_route(geometric, args.max_squares)
+    same, geometric, digit = _matches_digit_route(system, args.depth, args.max_squares)
     if same:
-        print(f"equivalence: ok ({len(geometric)} squares)")
+        print(f"equivalence: ok ({geometric} squares)")
         return 0
     print(
         f"equivalence: MISMATCH at depth {args.depth} "
-        f"({len(geometric)} geometric vs {digit_count} digit squares)",
+        f"({geometric} geometric vs {digit} digit squares)",
         file=sys.stderr,
     )
     return 1

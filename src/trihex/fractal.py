@@ -4,10 +4,11 @@ Two independent constructions of the same square sets are provided: the
 geometric route (each square spawns one child per generator-lattice
 shift) and the digit route (the n-fold Kronecker power of the m x m
 matrix that marks the digit pairs whose sum stays inside the alphabet;
-the flat indices of its set cells are the square keys).
-`equivalence_check` compares them block by block, one digit block at a
-time.  The membership search lives in the numpy-free `trihex.membership`
-and is re-exported here.
+the flat indices of its set cells are the square keys).  Both stream
+their keys in ascending blocks of the same rows, and `equivalence_check`
+compares them a block of each route at a time, never holding either
+whole set.  The membership search lives in the numpy-free
+`trihex.membership` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cache, reduce
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Iterator
 
 import numpy as np
@@ -84,7 +85,7 @@ def lattice(m: int, b: int = 0) -> GeneratorLattice:
 
 
 _BLOCK = 65536  # squares per writer chunk, so a writer's memory does not grow with its output
-_SCAN_CELLS = 2**20  # cells of the digit scan per block, so verify adds about one block to the set
+_SCAN_CELLS = 2**18  # cells per block of either route, so verify holds about one block of each
 
 
 @cache  # on first use: verify and dim import this module but format nothing
@@ -131,10 +132,22 @@ def _integers(values) -> bool:
     return all(issubclass(t, (int, np.integer)) and t is not bool for t in {*map(type, values)})
 
 
+def _canonical(keys: np.ndarray, after: int = -1) -> np.ndarray:
+    """keys sorted in place, after the one rule: no duplicates, and all above `after`."""
+    keys.sort(kind="stable")  # merges already-sorted runs in linear passes
+    if keys.size and bool(np.any(keys[1:] == keys[:-1])):
+        raise DomainError("duplicate grid squares")
+    if keys.size and keys[0] <= after:  # a block of a stream overlaps the blocks before it
+        raise DomainError("grid square blocks out of order")
+    return keys
+
+
 def _index_pairs(squares) -> np.ndarray:
     """Square indices as an int64 array; only exact integers are accepted."""
     if isinstance(squares, np.ndarray):
-        exact = squares.dtype.kind != "b" and np.can_cast(squares.dtype, np.int64)
+        exact = squares.dtype.kind in "iu"  # numpy integers are at most 64 bits wide
+        if squares.dtype.kind == "u" and squares.size and int(squares.max()) >= 2**63:
+            raise DomainError("square index does not fit in int64")  # the cast would wrap it
     else:
         try:
             exact = _integers(chain.from_iterable(squares))
@@ -171,20 +184,15 @@ class Prefractal:
             raise DomainError("squares must be an array of (i, j) pairs")
         if arr.size and (int(arr.min()) < lo or int(arr.max()) >= lo + width):
             raise DomainError(f"square index outside depth-{depth} range [{lo}, {lo + width - 1}]")
-        self._canonicalise(system, depth, (arr[:, 0] - lo) * width + (arr[:, 1] - lo))
+        keys = _canonical((arr[:, 0] - lo) * width + (arr[:, 1] - lo))
+        self.system, self.depth, self._keys = system, depth, keys
 
     @classmethod
     def _from_keys(cls, system: DigitSystem, depth: int, keys: np.ndarray) -> Prefractal:
-        return cls.__new__(cls)._canonicalise(system, depth, keys)
-
-    def _canonicalise(self, system: DigitSystem, depth: int, keys: np.ndarray) -> Prefractal:
-        keys.sort(kind="stable")  # merges already-sorted runs in linear passes
-        if keys.size and bool(np.any(keys[1:] == keys[:-1])):
-            raise DomainError("duplicate grid squares")
-        self.system = system
-        self.depth = depth
-        self._keys = keys
-        return self
+        """A prefractal over keys that are already canonical (see _canonical)."""
+        p = cls.__new__(cls)
+        p.system, p.depth, p._keys = system, depth, keys
+        return p
 
     @property
     def squares(self) -> np.ndarray:
@@ -237,6 +245,18 @@ def unit_square(system: DigitSystem) -> Prefractal:
     return Prefractal(system, 0, [(0, 0)])
 
 
+def _stacked(low: Prefractal, tops_i, tops_j, width: int) -> np.ndarray:
+    """The keys, top by top, of low's squares under the top digits (tops_i, tops_j).
+
+    With s = m^low.depth and W = width, top square (I, J) on low's square
+    (i, j) is (I*s + i, J*s + j): the key (I*W + J)*s + i*W + j.  Tops on the
+    outer axis, so each top's keys are one ascending run of the result.
+    """
+    s = low.system.m**low.depth
+    base = low._keys + (low._keys // s) * (width - s)  # i*s + j becomes i*W + j
+    return (((tops_i * width + tops_j) * s)[:, None] + base).reshape(-1)
+
+
 def iterate(p: Prefractal, lat: GeneratorLattice,
             max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
     """One construction step: every square spawns one child per lattice shift.
@@ -252,23 +272,63 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
     _cap(p.depth + 1, len(p) * len(lat), max_squares)
     _key_frame(p.system, p.depth + 1)  # the child depth is gated before any key arithmetic
     k, h = np.array(lat.points, dtype=np.int64).reshape(-1, 2).T
-    m, b, s = p.system.m, p.system.b, p.system.m**p.depth
-    base = p._keys + (p._keys // s) * ((m - 1) * s)  # u*s + v becomes u*m*s + v
-    shifts = ((k + b) * m * s + h + b) * s
-    # shifts on the outer axis, so the sort merges len(lat) sorted runs
-    return Prefractal._from_keys(p.system, p.depth + 1, (shifts[:, None] + base).reshape(-1))
+    b, width = p.system.b, p.system.m ** (p.depth + 1)
+    keys = _canonical(_stacked(p, k + b, h + b, width))  # the sort merges len(lat) sorted runs
+    return Prefractal._from_keys(p.system, p.depth + 1, keys)
 
 
-def ifs_prefractal(system: DigitSystem, n: int,
-                   max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
-    """Iterate the unit square n times through the generator lattice, gated before any square."""
-    _gate(system, n, max_squares)  # the lattice has >= 3 points, so the last level is the largest
+def _iterated(system: DigitSystem, n: int) -> Prefractal:
+    """The unit square iterated n times through the generator lattice, after _gate."""
     p = unit_square(system)
-    if n:
+    if n:  # a depth-0 set needs no lattice, however large the base
         lat = lattice(system.m, system.b)
         for _ in range(n):
             p = iterate(p, lat, None)
     return p
+
+
+def _low_digits(system: DigitSystem, n: int) -> int:
+    """k, the low digits per block: a block of m^k rows holds <= _SCAN_CELLS cells, or one row."""
+    m, k = system.m, 0
+    while k < n and m ** (k + 1) * m**n <= _SCAN_CELLS:
+        k += 1
+    return k
+
+
+def _geometric_blocks(system: DigitSystem, n: int) -> Iterator[np.ndarray]:
+    """The geometric route's keys, ascending, in the row blocks of _digit_blocks; after _gate.
+
+    P_n is P_d stacked on P_k, k = _low_digits and d = n - k: each square
+    (I, J) of P_d puts its digits on top of every square of P_k.  Both are
+    built by iterate.  Block I holds the squares under column I of P_d, the
+    m^k rows from I * m^k on, as the digit route's block I does.
+    """
+    k, width = _low_digits(system, n), system.m**n
+    low, top = _iterated(system, k), _iterated(system, n - k)
+    columns = system.m ** (n - k)
+    tops_i, tops_j = np.divmod(top._keys, columns)
+    ends = np.searchsorted(tops_i, np.arange(columns + 1))  # column I is ends[I]:ends[I + 1]
+    after = -1
+    for c in range(columns):
+        keys = _canonical(_stacked(low, c, tops_j[ends[c] : ends[c + 1]], width), after)
+        after = int(keys[-1]) if keys.size else after
+        yield keys
+
+
+def ifs_prefractal(system: DigitSystem, n: int,
+                   max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
+    """Iterate the unit square n times through the generator lattice, gated before any square.
+
+    The keys are the geometric route's blocks, written into one array of
+    the l^n squares that the gate counted.
+    """
+    _gate(system, n, max_squares)
+    keys = np.empty(lattice_cardinality(system.m, system.b) ** n, dtype=np.int64)
+    at = 0
+    for block in _geometric_blocks(system, n):
+        keys[at : at + len(block)] = block
+        at += len(block)
+    return Prefractal._from_keys(system, n, keys)
 
 
 def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Iterator[np.ndarray]:
@@ -285,9 +345,7 @@ def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Itera
         raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
     m, b, u = system.m, system.b, np.arange(system.m)
     digit_rule = (u >= b - u[:, None]) & (u <= m - 1 + b - u[:, None])  # b <= u + v <= m-1+b
-    k = 0  # low digits per block: a block of m^k rows holds <= _SCAN_CELLS cells, or one row
-    while k < n and m ** (k + 1) * width <= _SCAN_CELLS:
-        k += 1
+    k = _low_digits(system, n)
     low, high = (reduce(np.kron, [digit_rule] * t, np.ones((1, 1), bool)) for t in (k, n - k))
     # row p of high fixes the top n - k digits of i - lo, so the block starts at key p * m^k * W
     for p, row in enumerate(high):
@@ -300,22 +358,29 @@ def prefractal_by_digits(system: DigitSystem, n: int,
                          max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
     """Depth-n squares selected by the digit condition alone (see _digit_blocks)."""
     keys = np.concatenate(list(_digit_blocks(system, n, max_squares)))
-    return Prefractal._from_keys(system, n, keys)
+    return Prefractal._from_keys(system, n, _canonical(keys))
 
 
-def _matches_digit_route(p: Prefractal, max_squares: int | None) -> tuple[bool, int]:
-    """(p's keys are the digit route's, the digit key count), one ascending block at a time."""
-    same, at = True, 0
-    for block in _digit_blocks(p.system, p.depth, max_squares):
-        same = same and np.array_equal(p._keys[at : at + len(block)], block)
-        at += len(block)  # counted past a difference, for the MISMATCH line
-    return same and at == len(p), at
+def _matches_digit_route(system: DigitSystem, n: int,
+                         max_squares: int | None) -> tuple[bool, int, int]:
+    """(the two routes give the same keys, the geometric count, the digit count).
+
+    One block of each route at a time.  The digit route is pulled first, so
+    its gates (_gate, then the scan cap) run before either route builds.
+    """
+    same, counts = True, [0, 0]
+    for digit, geometric in zip_longest(_digit_blocks(system, n, max_squares),
+                                        _geometric_blocks(system, n), fillvalue=()):
+        same = same and np.array_equal(geometric, digit)
+        counts[0] += len(geometric)  # counted past a difference, for the MISMATCH line
+        counts[1] += len(digit)
+    return same, *counts
 
 
 def equivalence_check(system: DigitSystem, n: int,
                       max_squares: int | None = DEFAULT_MAX_SQUARES) -> bool:
     """Whether the geometric and digit constructions give the same squares."""
-    return _matches_digit_route(ifs_prefractal(system, n, max_squares), max_squares)[0]
+    return _matches_digit_route(system, n, max_squares)[0]
 
 
 def covers_point(p: Prefractal, x, y) -> bool:

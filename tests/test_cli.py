@@ -210,6 +210,13 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "error: digit scan at depth 13 exceeds the cap 1600000\n"
 
+    def test_square_cap_before_digit_scan_cap(self, capsys):
+        # 3^9 squares and 4^9 scan cells are both over a cap of 1000: the square cap speaks
+        code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "9",
+                                "--max-squares", "1000")
+        assert (code, out) == (1, "")
+        assert err == "error: depth 9 needs 19683 squares, over the cap 1000\n"
+
     @staticmethod
     def edit_digit_blocks(monkeypatch, edit):
         """Make verify compare against the digit route's blocks as edited."""
@@ -243,6 +250,20 @@ class TestVerify:
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
         assert (code, out) == (1, "")
         assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 9 digit squares)\n"
+
+    def test_mismatch_line_key_dropped_from_a_middle_geometric_block(self, capsys, monkeypatch):
+        monkeypatch.setattr(fractal, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
+        blocks = fractal._geometric_blocks
+
+        def drop_first_key_of_block_one(system, n):
+            got = list(blocks(system, n))
+            assert [b.tolist() for b in got] == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
+            return [got[0], got[1][1:], *got[2:]]
+
+        monkeypatch.setattr(fractal, "_geometric_blocks", drop_first_key_of_block_one)
+        code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
+        assert (code, out) == (1, "")
+        assert err == "equivalence: MISMATCH at depth 2 (8 geometric vs 9 digit squares)\n"
 
     def test_depth_zero_cap_is_one_rule_for_gen_and_verify(self, capsys):
         for command in ("gen", "verify"):

@@ -58,6 +58,14 @@ def scan_reference(system, n):
     return Prefractal._from_keys(system, n, np.concatenate(keys))
 
 
+def iterate_reference(system, n):
+    """Reference: the unit square through n calls of iterate, as ifs_prefractal once ran."""
+    p = unit_square(system)
+    for _ in range(n):
+        p = iterate(p, lattice(system.m, system.b))
+    return p
+
+
 def brute_force_lattice(m, b):
     lo, hi = -b, m - 1 - b
     return {
@@ -144,6 +152,16 @@ class TestPrefractal:
                     Prefractal(DigitSystem(2, 0), 1, [(0, 1), row])
         with pytest.raises(DomainError, match="^square index does not fit in int64$"):
             Prefractal(DigitSystem(2, 0), 1, [(np.uint64(2**63), 0)])
+
+    def test_numpy_unsigned_arrays(self):
+        p = ifs_prefractal(DigitSystem(2, 0), 3)
+        for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+            assert Prefractal(p.system, 3, p.squares.astype(dtype)) == p
+        assert len(Prefractal(p.system, 1, np.array([[0, 1]], dtype=np.uint64))) == 1
+        assert len(Prefractal(p.system, 1, np.empty((0, 2), dtype=np.uint64))) == 0
+        for big in (2**63, 2**64 - 1):  # past int64, where the cast would wrap to a negative
+            with pytest.raises(DomainError, match="^square index does not fit in int64$"):
+                Prefractal(p.system, 1, np.array([[big, 0]], np.uint64))
 
     def test_index_bounds(self):
         assert index_bounds(DigitSystem(2, 0), 3) == (0, 7)
@@ -370,6 +388,36 @@ class TestDigitConstruction:
                 assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n, cells)
                 assert np.array_equal(keys, ifs_prefractal(system, n)._keys), (system, n, cells)
                 assert equivalence_check(system, n), (system, n, cells)
+
+    @pytest.mark.parametrize("cells", [1, 5, 13, 50, 300])
+    def test_small_blocks_of_the_geometric_route(self, cells, monkeypatch):
+        monkeypatch.setattr(fractal, "_SCAN_CELLS", cells)
+        for system in legal_systems(7):
+            for n in range(4):
+                width = system.m**n
+                blocks = list(fractal._geometric_blocks(system, n))
+                digit_blocks = list(fractal._digit_blocks(system, n, None))
+                assert len(blocks) == len(digit_blocks), (system, n, cells)
+                for block, digit_block in zip(blocks, digit_blocks):
+                    assert np.all(block[1:] > block[:-1]), (system, n, cells)
+                    rows = np.unique(block // width)  # the rows of i - lo the block spans
+                    assert np.array_equal(rows, np.unique(digit_block // width)), (system, n)
+                keys = np.concatenate(blocks)
+                assert np.array_equal(keys, iterate_reference(system, n)._keys), (system, n)
+                assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n)
+                assert np.array_equal(keys, ifs_prefractal(system, n)._keys), (system, n)
+
+    def test_geometric_blocks_out_of_order_rejected(self, monkeypatch):
+        monkeypatch.setattr(fractal, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
+        stacked = fractal._stacked
+
+        def column_zero(low, i, j, width):  # the stream's calls, one int column each; not iterate's
+            return stacked(low, 0 if type(i) is int else i, j, width)
+
+        # every column's squares put in column 0's rows: block 1 starts below block 0's end
+        monkeypatch.setattr(fractal, "_stacked", column_zero)
+        with pytest.raises(DomainError, match="^grid square blocks out of order$"):
+            ifs_prefractal(DigitSystem(2, 0), 2)
 
 
 class TestNesting:

@@ -190,8 +190,17 @@ def test_writer_memory_stays_near_the_square_set(fmt, tmp_path, monkeypatch):
 
 
 def test_verify_memory_stays_near_the_square_set(capsys):
-    """verify holds the geometric set and one digit block, not a second full key array."""
+    """verify holds no more than building the geometric set does: no full key array twice."""
     build = traced_peak(lambda: ifs_prefractal(DigitSystem(2, 0), 12))
     check = traced_peak(lambda: cli.run(["verify", "--base", "2", "--depth", "12"]))
     assert capsys.readouterr().out == "equivalence: ok (531441 squares)\n"
     assert check <= 1.2 * build, (check, build)
+
+
+def test_verify_holds_one_block_per_route(capsys):
+    """verify holds a block of each route at a time, never the whole square set."""
+    build = traced_peak(lambda: ifs_prefractal(DigitSystem(4, 1), 6))
+    argv = ["verify", "--base", "4", "--balance", "1", "--depth", "6"]
+    check = traced_peak(lambda: cli.run(argv))
+    assert capsys.readouterr().out == "equivalence: ok (2985984 squares)\n"
+    assert check <= 0.25 * build, (check, build)
