@@ -6,8 +6,9 @@ shift) and the digit route (the n-fold Kronecker power of the m x m
 matrix that marks the digit pairs whose sum stays inside the alphabet;
 the flat indices of its set cells are the square keys).  Both stream
 their keys in ascending blocks of the same rows, and `equivalence_check`
-compares them a block of each route at a time, never holding either
-whole set.  The membership search lives in the numpy-free
+compares them a block of each route at a time; the geometric stream also
+holds P_(n-k), the whole set when a block is one row (see
+_geometric_blocks).  The membership search lives in the numpy-free
 `trihex.membership` and is re-exported here.
 """
 
@@ -300,35 +301,27 @@ def _geometric_blocks(system: DigitSystem, n: int) -> Iterator[np.ndarray]:
 
     P_n is P_d stacked on P_k, k = _low_digits and d = n - k: each square
     (I, J) of P_d puts its digits on top of every square of P_k.  Both are
-    built by iterate.  Block I holds the squares under column I of P_d, the
-    m^k rows from I * m^k on, as the digit route's block I does.
+    built by iterate, and P_d is held throughout: at k = 0 it is P_n.  Block
+    I holds the squares under column I of P_d, the m^k rows from I * m^k
+    on, as the digit route's block I does.
     """
     k, width = _low_digits(system, n), system.m**n
     low, top = _iterated(system, k), _iterated(system, n - k)
     columns = system.m ** (n - k)
-    tops_i, tops_j = np.divmod(top._keys, columns)
-    ends = np.searchsorted(tops_i, np.arange(columns + 1))  # column I is ends[I]:ends[I + 1]
+    ends = np.searchsorted(top._keys, np.arange(columns + 1) * columns)  # top key I*columns + J
     after = -1
     for c in range(columns):
-        keys = _canonical(_stacked(low, c, tops_j[ends[c] : ends[c + 1]], width), after)
+        tops_j = top._keys[ends[c] : ends[c + 1]] - c * columns
+        keys = _canonical(_stacked(low, c, tops_j, width), after)
         after = int(keys[-1]) if keys.size else after
         yield keys
 
 
 def ifs_prefractal(system: DigitSystem, n: int,
                    max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
-    """Iterate the unit square n times through the generator lattice, gated before any square.
-
-    The keys are the geometric route's blocks, written into one array of
-    the l^n squares that the gate counted.
-    """
-    _gate(system, n, max_squares)
-    keys = np.empty(lattice_cardinality(system.m, system.b) ** n, dtype=np.int64)
-    at = 0
-    for block in _geometric_blocks(system, n):
-        keys[at : at + len(block)] = block
-        at += len(block)
-    return Prefractal._from_keys(system, n, keys)
+    """Iterate the unit square n times through the generator lattice, gated before any square."""
+    _gate(system, n, max_squares)  # the lattice has >= 3 points, so the last level is the largest
+    return _iterated(system, n)
 
 
 def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Iterator[np.ndarray]:

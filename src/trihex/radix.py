@@ -231,36 +231,16 @@ def _carry(system: DigitSystem, coeffs: dict[int, int]) -> DigitString:
 def int_to_digits(n: int, system: DigitSystem) -> DigitString:
     """Expand an integer into digits of the system.
 
-    Splits n in halves of its digits until each piece has at most _RUN digits:
-    the low k digits are n mod m^k, moved by the balanced offset into the
-    range of k-digit values, and the high ones are the rest over m^k.  So
-    the big divisions are balanced, as value() sums in halves, and _carry
-    writes each piece's digits.  Standard systems carry no sign, so negative
-    integers are rejected when b = 0; balanced systems encode any integer.
+    Repeatedly replaces n by (n - d) / m where d is the alphabet digit
+    congruent to n mod m, until n reaches zero.  Standard systems carry
+    no sign, so negative integers are rejected when b = 0; balanced
+    systems encode any integer.
     """
     if type(n) is not int:  # bool is not an integer here
         raise DomainError(f"integer to expand must be an int, got {n!r}")
     if system.b == 0 and n < 0:
         raise DomainError(f"standard base cannot represent negative integer {n}")
-    # the numerals of k digits are the v with 0 <= v + offset < m^k, offset = b(1 + ... + m^(k-1))
-    levels, power = [], system.m**_RUN
-    offset = system.b * ((power - 1) // (system.m - 1))
-    while not 0 <= n + offset < power:
-        levels.append((power, offset))  # levels[t] is for k = _RUN * 2^t
-        power, offset = power * power, offset * (power + 1)
-    return _carry(system, _halve(n, 0, levels, {}))
-
-
-def _halve(n: int, e: int, levels: list, pieces: dict) -> dict:
-    """pieces, plus n * m**e in pieces of <= _RUN digits; n has <= _RUN * 2^len(levels) digits."""
-    if levels:
-        *levels, (power, offset) = levels
-        high, low = divmod(n + offset, power)
-        _halve(low - offset, e, levels, pieces)
-        _halve(high, e + _RUN * 2 ** len(levels), levels, pieces)
-    else:
-        pieces[e] = n
-    return pieces
+    return _carry(system, {0: n})
 
 
 def digits_to_rational(x: DigitString) -> Fraction:

@@ -58,14 +58,6 @@ def scan_reference(system, n):
     return Prefractal._from_keys(system, n, np.concatenate(keys))
 
 
-def iterate_reference(system, n):
-    """Reference: the unit square through n calls of iterate, as ifs_prefractal once ran."""
-    p = unit_square(system)
-    for _ in range(n):
-        p = iterate(p, lattice(system.m, system.b))
-    return p
-
-
 def brute_force_lattice(m, b):
     lo, hi = -b, m - 1 - b
     return {
@@ -403,9 +395,19 @@ class TestDigitConstruction:
                     rows = np.unique(block // width)  # the rows of i - lo the block spans
                     assert np.array_equal(rows, np.unique(digit_block // width)), (system, n)
                 keys = np.concatenate(blocks)
-                assert np.array_equal(keys, iterate_reference(system, n)._keys), (system, n)
-                assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n)
                 assert np.array_equal(keys, ifs_prefractal(system, n)._keys), (system, n)
+                assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n)
+
+    @pytest.mark.parametrize("system", [DigitSystem(600, 0), DigitSystem(515, 257)], ids=str)
+    def test_one_row_blocks_at_the_default_size(self, system):
+        # m rows of m cells are over _SCAN_CELLS, so k = 0 and P_(n-k) is the whole of P_1
+        assert system.m**2 > fractal._SCAN_CELLS and fractal._low_digits(system, 1) == 0
+        blocks = list(fractal._geometric_blocks(system, 1))
+        assert len(blocks) == system.m
+        keys = np.concatenate(blocks)
+        assert np.array_equal(keys, ifs_prefractal(system, 1)._keys)
+        assert np.array_equal(keys, np.concatenate(list(fractal._digit_blocks(system, 1, None))))
+        assert equivalence_check(system, 1)
 
     def test_geometric_blocks_out_of_order_rejected(self, monkeypatch):
         monkeypatch.setattr(fractal, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
@@ -417,7 +419,7 @@ class TestDigitConstruction:
         # every column's squares put in column 0's rows: block 1 starts below block 0's end
         monkeypatch.setattr(fractal, "_stacked", column_zero)
         with pytest.raises(DomainError, match="^grid square blocks out of order$"):
-            ifs_prefractal(DigitSystem(2, 0), 2)
+            list(fractal._geometric_blocks(DigitSystem(2, 0), 2))
 
 
 class TestNesting:

@@ -21,7 +21,6 @@ from trihex import (
     expansions,
     format_numeral,
     frac_digit_choices,
-    index_bounds,
     int_to_digits,
     lattice,
     parse_numeral,
@@ -242,56 +241,6 @@ class TestIntToDigits:
             lo = 0 if system.b == 0 else -(10**4)
             for n in range(lo, 10**4 + 1):
                 assert digits_to_rational(int_to_digits(n, system)) == n
-
-
-def int_to_digits_reference(n, system):
-    """Reference: one division of the whole integer per digit, as int_to_digits once ran."""
-    digits, e = {}, 0
-    while n:
-        d = system.digit_for(n)
-        if d:
-            digits[e] = d
-        n, e = (n - d) // system.m, e + 1
-    return DigitString(system, digits)
-
-
-class TestIntToDigitsMatchesReference:
-    @pytest.mark.parametrize("system", list(legal_systems(12)), ids=str)
-    def test_random_integers(self, system):
-        rng = random.Random(f"halves {system}")
-        for bits in (1, 8, 60, 170, 171, 400, 3000):  # one piece of <= 32 digits, a few, many
-            for _ in range(25):
-                n = rng.randrange(1 << bits)
-                if system.b and rng.random() < 0.5:
-                    n = -n
-                x = int_to_digits(n, system)
-                assert x == int_to_digits_reference(n, system), n
-                assert x.value() == n
-
-    @pytest.mark.parametrize("system", list(legal_systems(12)), ids=str)
-    def test_ends_of_each_digit_count(self, system):
-        # the least and greatest values of t digits, and their neighbours, either side of a split
-        for t in (1, 31, 32, 33, 64, 65, 200):
-            lo, hi = index_bounds(system, t)
-            for n in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1):
-                if n >= 0 or system.b:
-                    x = int_to_digits(n, system)
-                    assert x == int_to_digits_reference(n, system), (t, n)
-                    assert x.value() == n
-
-    def test_long_integer(self):
-        n = 7**9000 - 1  # about 25,000 binary digits
-        for system in (DigitSystem(2, 0), BT, DigitSystem(12, 6)):
-            x = int_to_digits(n, system)
-            assert x == int_to_digits_reference(n, system)
-            assert x.value() == n
-
-    def test_messages_kept(self):
-        negative = "^standard base cannot represent negative integer -5$"
-        with pytest.raises(DomainError, match=negative):
-            int_to_digits(-5, DigitSystem(3, 0))
-        with pytest.raises(DomainError, match="^integer to expand must be an int, got True$"):
-            int_to_digits(True, BT)
 
 
 class TestDigitsToRational:
