@@ -23,6 +23,11 @@ class DimensionReport(_Record):
     __slots__ = ("m", "b", "depth", "box_count", "estimate", "closed_form", "abs_error")
 
 
+# the one JSON line of a report: its four integer fields, then its three reals
+_REPORT_JSON = "{%s}" % ",".join(f'"{name}":%{spec}' for name, spec in zip(
+    DimensionReport.__slots__, ("d",) * 4 + (".12g",) * 3, strict=True))
+
+
 def closed_form_dim(m: int, b: int = 0) -> float:
     """log(generator square count) / log(m)."""
     return math.log(lattice_cardinality(m, b)) / math.log(m)
@@ -53,17 +58,5 @@ def lebesgue_measure(system: DigitSystem, n: int) -> Fraction:
 
 
 def report_to_json(report: DimensionReport) -> str:
-    """One-line JSON with fixed field order; reals at 12 significant digits."""
-    return (
-        '{"m":%d,"b":%d,"depth":%d,"box_count":%d,'
-        '"estimate":%s,"closed_form":%s,"abs_error":%s}'
-        % (
-            report.m,
-            report.b,
-            report.depth,
-            report.box_count,
-            format(report.estimate, ".12g"),
-            format(report.closed_form, ".12g"),
-            format(report.abs_error, ".12g"),
-        )
-    )
+    """One-line JSON in __slots__ order; reals at 12 significant digits."""
+    return _REPORT_JSON % report._values()

@@ -58,13 +58,10 @@ class GeneratorLattice(_Record):
     def __init__(self, system: DigitSystem, points) -> None:
         lo, hi = system.min_digit, system.max_digit
         outside = DomainError(f"lattice point outside the alphabet of base {system}")
-        try:  # int64 would truncate 0.5 and take True as 1, so the types are checked first
+        try:
             pairs = tuple(map(tuple, points))  # tuples pass as they are; lists are copied
-            flat = [t for k, h in pairs for t in (k, h)]
-            if not _integers(flat):
-                raise outside
-            k, h = np.array(flat, dtype=np.int64).reshape(-1, 2).T
-        except (TypeError, ValueError, OverflowError):  # not a pair of integers, or past int64
+            k, h = _index_pairs(pairs).T  # the integer-pair gate of Prefractal's rows
+        except (DomainError, TypeError):  # not pairs of integers, or past int64
             raise outside from None
         coords = np.stack([k, h, k + h])  # int64 arrays: unlike numpy scalars, k + h never warns
         if not np.all((lo <= coords) & (coords <= hi)):
@@ -144,7 +141,7 @@ def _canonical(keys: np.ndarray, after: int = -1) -> np.ndarray:
 
 
 def _index_pairs(squares) -> np.ndarray:
-    """Square indices as an int64 array; only exact integers are accepted."""
+    """Square indices as an N x 2 int64 array; only exact integers are accepted."""
     if isinstance(squares, np.ndarray):
         exact = squares.dtype.kind in "iu"  # numpy integers are at most 64 bits wide
         if squares.dtype.kind == "u" and squares.size and int(squares.max()) >= 2**63:
@@ -157,11 +154,16 @@ def _index_pairs(squares) -> np.ndarray:
     if not exact:
         raise DomainError("square indices must be integers")
     try:
-        return np.asarray(squares, dtype=np.int64)
+        arr = np.asarray(squares, dtype=np.int64)
     except OverflowError:
         raise DomainError("square index does not fit in int64") from None
     except (TypeError, ValueError):  # ragged rows, strings, JSON objects
         raise DomainError("squares must be an array of (i, j) pairs") from None
+    if arr.shape == (0,):  # [] is the empty set; rows of any other length are not pairs
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DomainError("squares must be an array of (i, j) pairs")
+    return arr
 
 
 class Prefractal:
@@ -179,10 +181,6 @@ class Prefractal:
     def __init__(self, system: DigitSystem, depth: int, squares):
         lo, width = _key_frame(system, depth)
         arr = _index_pairs(squares)
-        if arr.shape == (0,):  # [] is the empty set; rows of any other length are not pairs
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise DomainError("squares must be an array of (i, j) pairs")
         if arr.size and (int(arr.min()) < lo or int(arr.max()) >= lo + width):
             raise DomainError(f"square index outside depth-{depth} range [{lo}, {lo + width - 1}]")
         keys = _canonical((arr[:, 0] - lo) * width + (arr[:, 1] - lo))
@@ -278,16 +276,6 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
     return Prefractal._from_keys(p.system, p.depth + 1, keys)
 
 
-def _iterated(system: DigitSystem, n: int) -> Prefractal:
-    """The unit square iterated n times through the generator lattice, after _gate."""
-    p = unit_square(system)
-    if n:  # a depth-0 set needs no lattice, however large the base
-        lat = lattice(system.m, system.b)
-        for _ in range(n):
-            p = iterate(p, lat, None)
-    return p
-
-
 def _low_digits(system: DigitSystem, n: int) -> int:
     """k, the low digits per block: a block of m^k rows holds <= _SCAN_CELLS cells, or one row."""
     m, k = system.m, 0
@@ -301,12 +289,13 @@ def _geometric_blocks(system: DigitSystem, n: int) -> Iterator[np.ndarray]:
 
     P_n is P_d stacked on P_k, k = _low_digits and d = n - k: each square
     (I, J) of P_d puts its digits on top of every square of P_k.  Both are
-    built by iterate, and P_d is held throughout: at k = 0 it is P_n.  Block
+    built by ifs_prefractal, and P_d is held throughout: at k = 0 it is P_n.  Block
     I holds the squares under column I of P_d, the m^k rows from I * m^k
     on, as the digit route's block I does.
     """
     k, width = _low_digits(system, n), system.m**n
-    low, top = _iterated(system, k), _iterated(system, n - k)
+    # no cap, and the depth gates cannot fail: _gate has passed for depth n >= k, n - k
+    low, top = ifs_prefractal(system, k, None), ifs_prefractal(system, n - k, None)
     columns = system.m ** (n - k)
     ends = np.searchsorted(top._keys, np.arange(columns + 1) * columns)  # top key I*columns + J
     after = -1
@@ -321,7 +310,12 @@ def ifs_prefractal(system: DigitSystem, n: int,
                    max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
     """Iterate the unit square n times through the generator lattice, gated before any square."""
     _gate(system, n, max_squares)  # the lattice has >= 3 points, so the last level is the largest
-    return _iterated(system, n)
+    p = unit_square(system)
+    if n:  # a depth-0 set needs no lattice, however large the base
+        lat = lattice(system.m, system.b)
+        for _ in range(n):
+            p = iterate(p, lat, None)
+    return p
 
 
 def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Iterator[np.ndarray]:

@@ -6,6 +6,7 @@ from conftest import legal_systems
 
 from trihex import (
     DigitSystem,
+    DimensionReport,
     DomainError,
     box_count_estimate,
     closed_form_dim,
@@ -14,6 +15,23 @@ from trihex import (
     lebesgue_measure,
     report_to_json,
 )
+
+
+def report_reference(report):
+    """Reference: report_to_json as it was when each field was named in its body."""
+    return (
+        '{"m":%d,"b":%d,"depth":%d,"box_count":%d,'
+        '"estimate":%s,"closed_form":%s,"abs_error":%s}'
+        % (
+            report.m,
+            report.b,
+            report.depth,
+            report.box_count,
+            format(report.estimate, ".12g"),
+            format(report.closed_form, ".12g"),
+            format(report.abs_error, ".12g"),
+        )
+    )
 
 
 class TestClosedForm:
@@ -90,6 +108,22 @@ class TestBoxCount:
             '{"m":3,"b":1,"depth":3,"box_count":343,'
             '"estimate":1.77124374916,"closed_form":1.77124374916,"abs_error":0}'
         )
+
+    def test_json_matches_reference_on_every_small_system(self):
+        for system in legal_systems(12):
+            ell = lattice_cardinality(system.m, system.b)
+            n = 1
+            while ell**n <= 10**7:
+                report = box_count_estimate(system, n)
+                assert report_to_json(report) == report_reference(report)
+                n += 1
+
+    @pytest.mark.parametrize("real", [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                      1.7976931348623157e308, 0.1, 1 / 3])
+    def test_json_matches_reference_on_extreme_fields(self, real):
+        for count in (0, 1, 10**400):
+            report = DimensionReport(2, 0, 7, count, real, -real, abs(real))
+            assert report_to_json(report) == report_reference(report)
 
 
 class TestLebesgueMeasure:

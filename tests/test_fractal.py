@@ -222,7 +222,9 @@ class TestIterate:
 
     @pytest.mark.parametrize("points", [((5, 5),), ((1, 1),), ((0, 0), (-2, 1)), ((2**70, 0),),
                                         ((0.5, 0.9),), ((True, 0),), ((1, -1, 0), (0, 0, 1)),
-                                        ((1,),), (5,), ((np.int64(2**62), np.int64(2**62)),)])
+                                        ((1,),), (5,), ((np.int64(2**62), np.int64(2**62)),),
+                                        ((0, 0), (0,)), np.array([[0, 0, 0]]),
+                                        ((np.uint64(2**64 - 1), 0),)])
     def test_lattice_points_outside_the_alphabet(self, points, monkeypatch):
         # each set has a point that is not a pair of integers, or has k, h or k + h
         # outside the alphabet [-1, 1]; k + h on numpy scalars would also warn of overflow,
@@ -243,6 +245,13 @@ class TestIterate:
         points.append((5, 5))  # the lattice holds the copy it checked
         assert lat.points == lattice(3, 1).points
         assert iterate(unit_square(BT), lat) == ifs_prefractal(BT, 1)
+
+    def test_lattice_through_the_pair_gate(self):
+        # the shared gate takes an N x 2 array as rows, and no points as the empty lattice
+        lat = fractal.GeneratorLattice(BT, np.array(lattice(3, 1).points))
+        assert lat == lattice(3, 1)
+        assert iterate(unit_square(BT), lat) == ifs_prefractal(BT, 1)
+        assert len(fractal.GeneratorLattice(BT, [])) == 0
 
     def test_resource_cap(self):
         p = ifs_prefractal(DigitSystem(2, 0), 4)
