@@ -8,6 +8,8 @@ Python's int/str digit limit (one-line diagnostic on stderr), 2 usage error.
 Only the commands that build square sets (gen, render, verify) import numpy,
 inside their handlers.  The numeral, member and dim commands load neither it
 nor dataclasses nor inspect; dim counts squares by the closed form instead.
+Each handler imports what only it uses, since every command compiles what
+it imports: trihex.membership for member, and json for member --witness.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from itertools import chain
 from typing import Iterable
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
-from .membership import member
 from .radix import (
     DigitSystem,
     _rational,
@@ -101,9 +102,18 @@ def _cmd_carryfree(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    from .membership import _certificate, member
+
     system = DigitSystem(args.base, args.balance)
     x, y = _parse_point(args.point)
-    print("true" if member(x, y, system) else "false")
+    if not args.witness:
+        print("true" if member(x, y, system) else "false")
+        return 0
+    import json  # only the witness loads it
+
+    cert = _certificate(x, y, system)
+    print("true" if cert["member"] else "false")
+    print(json.dumps(cert, separators=(",", ":")))
     return 0
 
 
@@ -188,6 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="exact membership of a rational point in the limit set")
     _add_system_flags(p)
     p.add_argument("--point", required=True, help="rational point 'x,y', e.g. '1/2,1/2'")
+    p.add_argument("--witness", action="store_true",
+                   help="also print the answer's certificate as one JSON line")
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("gen", help="generate the depth-n prefractal")

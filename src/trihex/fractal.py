@@ -8,8 +8,9 @@ the flat indices of its set cells are the square keys).  Both stream
 their keys in ascending blocks of the same rows, and `equivalence_check`
 compares them a block of each route at a time; the geometric stream also
 holds P_(n-k), the whole set when a block is one row (see
-_geometric_blocks).  The membership search lives in the numpy-free
-`trihex.membership` and is re-exported here.
+_geometric_blocks).  The membership decisions live in the numpy-free
+`trihex.membership` and `trihex.automaton`; they are re-exported here,
+loaded on first use, so that no square-set command compiles them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
-from .membership import MembershipAutomaton, member
 from .radix import (DigitSystem, _cap, _gate, _key_frame, _rational, _Record, index_bounds,
                     lattice_cardinality)
 
@@ -45,6 +45,16 @@ __all__ = [
     "prefractal_to_json",
     "prefractal_from_json",
 ]
+
+
+def __getattr__(name):
+    if name == "MembershipAutomaton":
+        from .automaton import MembershipAutomaton
+        return MembershipAutomaton
+    if name == "member":
+        from .membership import member
+        return member
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class GeneratorLattice(_Record):
