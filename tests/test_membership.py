@@ -242,17 +242,22 @@ def test_member_witness_prints_a_checked_certificate(capsys, point, system):
     assert trihex.check_certificate(x, y, DigitSystem(*map(int, system)), cert)
 
 
-def test_only_the_witness_loads_json():
+def test_only_member_loads_the_membership_modules():
+    # each child compiles what it imports, so member leaves json to --witness,
+    # and the square-set commands load neither decision
     src = str(Path(trihex.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = ("import contextlib, io, sys\nfrom trihex import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    cli.run(['member', '--base', '2', '--point', '1/3,1/5', *sys.argv[1:]])\n"
+              "    assert cli.run(sys.argv[1:]) == 0\n"
               "print(sorted(m for m in sys.modules if m == 'json' or m.startswith('trihex.')))")
-    loaded = [subprocess.run([sys.executable, "-c", script, *flag], capture_output=True, text=True,
+    loaded = [subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path}, check=True).stdout.strip()
-              for flag in ([], ["--witness"])]
+              for argv in (["member", "--base", "2", "--point", "1/3,1/5"],
+                           ["member", "--base", "2", "--point", "1/3,1/5", "--witness"],
+                           ["gen", "--base", "2", "--depth", "1", "--format", "text"])]
     assert loaded == [
         "['trihex.cli', 'trihex.errors', 'trihex.membership', 'trihex.radix']",
         "['json', 'trihex.cli', 'trihex.errors', 'trihex.membership', 'trihex.radix']",
+        "['json', 'trihex.cli', 'trihex.errors', 'trihex.fractal', 'trihex.radix', 'trihex.render']",
     ]
