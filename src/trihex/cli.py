@@ -10,6 +10,8 @@ inside their handlers.  The numeral, member and dim commands load neither it
 nor dataclasses nor inspect; dim counts squares by the closed form instead.
 Each handler imports what only it uses, since every command compiles what
 it imports: trihex.membership for member, and json for member --witness.
+fractions is loaded by the first function that builds a Fraction, so only
+convert --x and member load it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import io
 import os
 import re
 import sys
-from fractions import Fraction
 from itertools import chain
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .radix import (
@@ -34,6 +35,9 @@ from .radix import (
     int_to_digits,
     parse_numeral,
 )
+
+if TYPE_CHECKING:  # an annotation only: _rational builds the Fractions
+    from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"\A[+-]?[0-9]+(/[0-9]+)?\Z")
 _INT_RE = re.compile(r"\A[+-]?[0-9]+\Z")

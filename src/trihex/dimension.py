@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError
 from .radix import DigitSystem, _depth, _gate, _Record, lattice_cardinality
+
+if TYPE_CHECKING:  # only lebesgue_measure builds one; dim does not load it
+    from fractions import Fraction
 
 __all__ = [
     "DimensionReport",
@@ -53,6 +56,8 @@ def box_count_estimate(system: DigitSystem, n: int,
 
 def lebesgue_measure(system: DigitSystem, n: int) -> Fraction:
     """Exact area of the depth-n prefractal: (l / m^2)^n."""
+    from fractions import Fraction
+
     ell = lattice_cardinality(system.m, system.b)
     return Fraction(ell, system.m**2) ** _depth(n)
 

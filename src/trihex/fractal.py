@@ -5,17 +5,17 @@ geometric route (each square spawns one child per generator-lattice
 shift) and the digit route (the n-fold Kronecker power of the m x m
 matrix that marks the digit pairs whose sum stays inside the alphabet;
 the flat indices of its set cells are the square keys).  Both stream
-their keys in ascending blocks of the same rows, and `equivalence_check`
-compares them a block of each route at a time; the geometric stream also
-holds P_(n-k), the whole set when a block is one row (see
-_geometric_blocks).  The membership decisions live in the numpy-free
-`trihex.membership` and `trihex.automaton`; they are re-exported here,
-loaded on first use, so that no square-set command compiles them.
+boolean cell masks over the same blocks of scan rows, and
+`equivalence_check` compares them a block of each route at a time, with
+no key array on either side; the geometric stream also holds P_(n-k),
+the whole set when a block is one row (see _geometric_blocks).  The
+membership decisions live in the numpy-free `trihex.membership` and
+`trihex.automaton`; they are re-exported here, loaded on first use, so
+that no square-set command compiles them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cache, reduce
 from itertools import chain, zip_longest
@@ -140,13 +140,11 @@ def _integers(values) -> bool:
     return all(issubclass(t, (int, np.integer)) and t is not bool for t in {*map(type, values)})
 
 
-def _canonical(keys: np.ndarray, after: int = -1) -> np.ndarray:
-    """keys sorted in place, after the one rule: no duplicates, and all above `after`."""
+def _canonical(keys: np.ndarray) -> np.ndarray:
+    """keys sorted in place, after the one rule: no duplicates."""
     keys.sort(kind="stable")  # merges already-sorted runs in linear passes
     if keys.size and bool(np.any(keys[1:] == keys[:-1])):
         raise DomainError("duplicate grid squares")
-    if keys.size and keys[0] <= after:  # a block of a stream overlaps the blocks before it
-        raise DomainError("grid square blocks out of order")
     return keys
 
 
@@ -295,25 +293,29 @@ def _low_digits(system: DigitSystem, n: int) -> int:
 
 
 def _geometric_blocks(system: DigitSystem, n: int) -> Iterator[np.ndarray]:
-    """The geometric route's keys, ascending, in the row blocks of _digit_blocks; after _gate.
+    """The geometric route's cell masks, in the row blocks of _digit_blocks; after _gate.
 
     P_n is P_d stacked on P_k, k = _low_digits and d = n - k: each square
     (I, J) of P_d puts its digits on top of every square of P_k.  Both are
-    built by ifs_prefractal, and P_d is held throughout: at k = 0 it is P_n.  Block
-    I holds the squares under column I of P_d, the m^k rows from I * m^k
-    on, as the digit route's block I does.
+    built by ifs_prefractal.  Block I covers the m^k rows from I * m^k on,
+    as the digit route's block I does; it is P_k's m^k x m^k mask copied
+    under each top J of column I of P_d, as an m^k x W mask.  P_d is held
+    throughout, and at k = 0 it is P_n: building a column from the digits
+    of its index instead would be the digit rule again, and the two routes
+    would stop being independent.
     """
-    k, width = _low_digits(system, n), system.m**n
+    k = _low_digits(system, n)
+    s, columns = system.m**k, system.m ** (n - k)
     # no cap, and the depth gates cannot fail: _gate has passed for depth n >= k, n - k
     low, top = ifs_prefractal(system, k, None), ifs_prefractal(system, n - k, None)
-    columns = system.m ** (n - k)
+    low_mask = np.zeros(s * s, bool)
+    low_mask[low._keys] = True
+    low_mask = low_mask.reshape(s, 1, s)  # the low digits of i, one top, the low digits of j
     ends = np.searchsorted(top._keys, np.arange(columns + 1) * columns)  # top key I*columns + J
-    after = -1
     for c in range(columns):
-        tops_j = top._keys[ends[c] : ends[c + 1]] - c * columns
-        keys = _canonical(_stacked(low, c, tops_j, width), after)
-        after = int(keys[-1]) if keys.size else after
-        yield keys
+        mask = np.zeros((s, columns, s), bool)
+        mask[:, top._keys[ends[c] : ends[c + 1]] - c * columns, :] = low_mask
+        yield mask.reshape(s, -1)  # cell (i, J*s + j) of the block: key (c*s + i)*W + J*s + j
 
 
 def ifs_prefractal(system: DigitSystem, n: int,
@@ -328,14 +330,31 @@ def ifs_prefractal(system: DigitSystem, n: int,
     return p
 
 
+def _kron_rows(rule: np.ndarray, t: int) -> Iterator[np.ndarray]:
+    """The rows of the t-fold Kronecker power of rule, in order, one at a time.
+
+    Row p*m + d is kron(row p of the (t-1)-fold power, rule[d]): the
+    Kronecker product of rule's rows at the t base-m digits of the row index.
+    """
+    if not t:
+        yield np.ones(1, bool)
+        return
+    for head in _kron_rows(rule, t - 1):
+        for r in rule:
+            yield np.outer(head, r).reshape(-1)  # kron of two vectors, without kron's set-up
+
+
 def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Iterator[np.ndarray]:
-    """The digit route's keys, ascending, in blocks of whole scan rows of <= _SCAN_CELLS cells.
+    """The digit route's cell masks, in blocks of whole scan rows of <= _SCAN_CELLS cells.
 
     On digits shifted by b into [0, m-1] the rule is one m x m boolean
     matrix, A[u, v] = (b <= u + v <= m-1+b).  The kept cells (i - lo, j - lo)
     are those of the n-fold Kronecker power of A, and a cell's flat index
-    in that W x W power is the square key.  All W^2 cells are scanned, a block
-    at a time, independently of the geometric route, after the gates.
+    in that W x W power is the square key.  Block p is the m^k x W slice of
+    rows from p * m^k on: kron(row p of the (n-k)-fold power, the k-fold
+    power), so neither the whole power nor its top factor is ever built.
+    All W^2 cells are scanned, a block at a time, independently of the
+    geometric route, after the gates.
     """
     _, width = _gate(system, n, max_squares)
     if max_squares is not None and width * width > 32 * max_squares:
@@ -343,35 +362,35 @@ def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Itera
     m, b, u = system.m, system.b, np.arange(system.m)
     digit_rule = (u >= b - u[:, None]) & (u <= m - 1 + b - u[:, None])  # b <= u + v <= m-1+b
     k = _low_digits(system, n)
-    low, high = (reduce(np.kron, [digit_rule] * t, np.ones((1, 1), bool)) for t in (k, n - k))
-    # row p of high fixes the top n - k digits of i - lo, so the block starts at key p * m^k * W
-    for p, row in enumerate(high):
-        keys = np.flatnonzero(np.kron(row, low))
-        keys += p * m**k * width  # in place: a second copy of the block would set the peak
-        yield keys
+    low = reduce(np.kron, [digit_rule] * k, np.ones((1, 1), bool))
+    for row in _kron_rows(digit_rule, n - k):
+        yield np.kron(row, low)
 
 
 def prefractal_by_digits(system: DigitSystem, n: int,
                          max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
     """Depth-n squares selected by the digit condition alone (see _digit_blocks)."""
-    keys = np.concatenate(list(_digit_blocks(system, n, max_squares)))
-    return Prefractal._from_keys(system, n, _canonical(keys))
+    # block p starts at row p * m^k, so at key p * m^k * W: its flat indices are offset by that
+    keys = [np.flatnonzero(mask) + p * mask.size
+            for p, mask in enumerate(_digit_blocks(system, n, max_squares))]
+    return Prefractal._from_keys(system, n, _canonical(np.concatenate(keys)))
 
 
 def _matches_digit_route(system: DigitSystem, n: int,
                          max_squares: int | None) -> tuple[bool, int, int]:
-    """(the two routes give the same keys, the geometric count, the digit count).
+    """(the two routes give the same cells, the geometric count, the digit count).
 
-    One block of each route at a time.  The digit route is pulled first, so
-    its gates (_gate, then the scan cap) run before either route builds.
+    One block mask of each route at a time.  The digit route is pulled
+    first, so its gates (_gate, then the scan cap) run before either route
+    builds.
     """
     same, counts = True, [0, 0]
     for digit, geometric in zip_longest(_digit_blocks(system, n, max_squares),
                                         _geometric_blocks(system, n), fillvalue=()):
         same = same and np.array_equal(geometric, digit)
-        counts[0] += len(geometric)  # counted past a difference, for the MISMATCH line
-        counts[1] += len(digit)
-    return same, *counts
+        counts[0] += np.count_nonzero(geometric)  # counted past a difference, for MISMATCH
+        counts[1] += np.count_nonzero(digit)
+    return same, *map(int, counts)
 
 
 def equivalence_check(system: DigitSystem, n: int,
@@ -411,6 +430,8 @@ def prefractal_to_json(p: Prefractal) -> str:
 
 def prefractal_from_json(text: str) -> Prefractal:
     """Parse and validate a prefractal JSON export."""
+    import json  # the one reader: no command loads it
+
     try:
         payload = json.loads(text)
     # ValueError covers JSONDecodeError and integers past the 4300-digit limit

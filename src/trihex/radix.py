@@ -11,9 +11,12 @@ the square count of the depth-n prefractals live here too, without numpy.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceError
+
+if TYPE_CHECKING:  # each function that builds a Fraction imports it: most commands build none
+    from fractions import Fraction
 
 __all__ = [
     "DigitSystem",
@@ -104,6 +107,8 @@ class DigitSystem(_Record):
         return r if r <= self.max_digit else r - self.m
 
     def interval(self) -> "ValueInterval":
+        from fractions import Fraction
+
         return ValueInterval(Fraction(-self.b, self.m - 1),
                              Fraction(self.m - 1 - self.b, self.m - 1))
 
@@ -171,6 +176,8 @@ class DigitString:
 
     def value(self) -> Fraction:
         """Exact value sum(digit * m**e) over the stored exponents, summed in halves."""
+        from fractions import Fraction
+
         m, low, items = self.system.m, min(self._digits, default=0), self._digits.items()
         scaled = _scaled(m, low, items if len(items) <= _RUN else sorted(items))
         return Fraction(scaled * m**low) if low >= 0 else Fraction(scaled, m**-low)
@@ -328,6 +335,8 @@ def _digit_window(a: int, q: int, system: DigitSystem) -> list[tuple[int, int]]:
 
 def _rational(r) -> Fraction:
     """Fraction(r), with DomainError for anything that is not a finite rational."""
+    from fractions import Fraction
+
     try:
         return Fraction(r)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
@@ -351,6 +360,8 @@ def frac_digit_choices(r, system: DigitSystem) -> list[tuple[int, Fraction]]:
     two choices; two only when the remainder lands on an endpoint.
     Returned in ascending digit order.
     """
+    from fractions import Fraction
+
     a, q = _remainder(r, system)
     return [(d, Fraction(n, q)) for d, n in _digit_window(a, q, system)]
 

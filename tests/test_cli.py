@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trihex
@@ -218,8 +219,15 @@ class TestVerify:
         assert err == "error: depth 9 needs 19683 squares, over the cap 1000\n"
 
     @staticmethod
+    def drop_first_cell(mask):
+        """A copy of a block's cell mask without its first set cell."""
+        mask = mask.copy()
+        mask.flat[np.flatnonzero(mask)[0]] = False
+        return mask
+
+    @staticmethod
     def edit_digit_blocks(monkeypatch, edit):
-        """Make verify compare against the digit route's blocks as edited."""
+        """Make verify compare against the digit route's block masks as edited."""
         blocks = fractal._digit_blocks
 
         def edited(system, n, max_squares):
@@ -228,13 +236,19 @@ class TestVerify:
         monkeypatch.setattr(fractal, "_digit_blocks", edited)
 
     def test_mismatch_line(self, capsys, monkeypatch):
-        self.edit_digit_blocks(monkeypatch, lambda blocks: [blocks[0][1:], *blocks[1:]])
+        self.edit_digit_blocks(monkeypatch,
+                               lambda blocks: [self.drop_first_cell(blocks[0]), *blocks[1:]])
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
         assert (code, out) == (1, "")
         assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 8 digit squares)\n"
 
     def test_mismatch_line_extra_key_after_the_last_block(self, capsys, monkeypatch):
-        self.edit_digit_blocks(monkeypatch, lambda blocks: [*blocks, blocks[-1][-1:] + 1])
+        def one_cell_block(mask):
+            extra = np.zeros_like(mask)
+            extra.flat[0] = True
+            return extra
+
+        self.edit_digit_blocks(monkeypatch, lambda blocks: [*blocks, one_cell_block(blocks[-1])])
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
         assert (code, out) == (1, "")
         assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 10 digit squares)\n"
@@ -243,8 +257,9 @@ class TestVerify:
         monkeypatch.setattr(fractal, "_SCAN_CELLS", 4)  # one row of the 4 x 4 scan per block
 
         def shift_last_key_of_block_one(blocks):
-            assert [b.tolist() for b in blocks] == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
-            return [blocks[0], blocks[1] + [0, 1], *blocks[2:]]
+            keys = [(np.flatnonzero(b) + p * b.size).tolist() for p, b in enumerate(blocks)]
+            assert keys == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
+            return [blocks[0], np.array([[1, 0, 0, 1]], bool), *blocks[2:]]  # keys 4 and 7
 
         self.edit_digit_blocks(monkeypatch, shift_last_key_of_block_one)
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
@@ -257,8 +272,9 @@ class TestVerify:
 
         def drop_first_key_of_block_one(system, n):
             got = list(blocks(system, n))
-            assert [b.tolist() for b in got] == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
-            return [got[0], got[1][1:], *got[2:]]
+            keys = [(np.flatnonzero(b) + p * b.size).tolist() for p, b in enumerate(got)]
+            assert keys == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
+            return [got[0], self.drop_first_cell(got[1]), *got[2:]]
 
         monkeypatch.setattr(fractal, "_geometric_blocks", drop_first_key_of_block_one)
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")

@@ -383,9 +383,12 @@ class TestDigitConstruction:
         monkeypatch.setattr(fractal, "_SCAN_CELLS", cells)
         for system in legal_systems(7):
             for n in range(4 if system.m < 7 else 3):
+                width = system.m**n
                 blocks = list(fractal._digit_blocks(system, n, None))
-                keys = np.concatenate(blocks)
-                assert np.all(keys[1:] > keys[:-1]), (system, n, cells)
+                rows = blocks[0].shape[0]  # whole scan rows, the same number in every block
+                assert all(b.shape == (rows, width) for b in blocks), (system, n, cells)
+                assert rows * len(blocks) == width and rows * width <= max(cells, width)
+                keys = np.flatnonzero(np.concatenate(blocks))  # the W x W scan, row by row
                 assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n, cells)
                 assert np.array_equal(keys, ifs_prefractal(system, n)._keys), (system, n, cells)
                 assert equivalence_check(system, n), (system, n, cells)
@@ -395,15 +398,14 @@ class TestDigitConstruction:
         monkeypatch.setattr(fractal, "_SCAN_CELLS", cells)
         for system in legal_systems(7):
             for n in range(4):
-                width = system.m**n
                 blocks = list(fractal._geometric_blocks(system, n))
                 digit_blocks = list(fractal._digit_blocks(system, n, None))
                 assert len(blocks) == len(digit_blocks), (system, n, cells)
                 for block, digit_block in zip(blocks, digit_blocks):
-                    assert np.all(block[1:] > block[:-1]), (system, n, cells)
-                    rows = np.unique(block // width)  # the rows of i - lo the block spans
-                    assert np.array_equal(rows, np.unique(digit_block // width)), (system, n)
-                keys = np.concatenate(blocks)
+                    assert block.dtype == bool, (system, n, cells)
+                    # the same rows of i - lo, each over every j - lo
+                    assert block.shape == digit_block.shape, (system, n)
+                keys = np.flatnonzero(np.concatenate(blocks))
                 assert np.array_equal(keys, ifs_prefractal(system, n)._keys), (system, n)
                 assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n)
 
@@ -412,23 +414,78 @@ class TestDigitConstruction:
         # m rows of m cells are over _SCAN_CELLS, so k = 0 and P_(n-k) is the whole of P_1
         assert system.m**2 > fractal._SCAN_CELLS and fractal._low_digits(system, 1) == 0
         blocks = list(fractal._geometric_blocks(system, 1))
-        assert len(blocks) == system.m
-        keys = np.concatenate(blocks)
-        assert np.array_equal(keys, ifs_prefractal(system, 1)._keys)
-        assert np.array_equal(keys, np.concatenate(list(fractal._digit_blocks(system, 1, None))))
+        assert len(blocks) == system.m and all(b.shape == (1, system.m) for b in blocks)
+        cells = np.concatenate(blocks)
+        assert np.array_equal(np.flatnonzero(cells), ifs_prefractal(system, 1)._keys)
+        assert np.array_equal(cells, np.concatenate(list(fractal._digit_blocks(system, 1, None))))
         assert equivalence_check(system, 1)
+
+    @pytest.mark.parametrize("cells", [1, 5, 13, 50, 300])
+    def test_mask_comparator_against_the_references(self, cells, monkeypatch):
+        monkeypatch.setattr(fractal, "_SCAN_CELLS", cells)
+        digit_blocks, rng = fractal._digit_blocks, random.Random(cells)
+        for system in legal_systems(7):
+            for n in range(4):
+                geometric, scan = ifs_prefractal(system, n), scan_reference(system, n)
+                expected = (geometric == scan, len(geometric), len(scan))
+                assert fractal._matches_digit_route(system, n, None) == expected, (system, n)
+
+                # one cell of the scan flipped: the verdict turns, and the digit count moves by 1
+                cell = rng.randrange(system.m ** (2 * n))
+
+                def flipped(system, n, max_squares, cell=cell):
+                    for p, mask in enumerate(digit_blocks(system, n, max_squares)):
+                        if p == cell // mask.size:
+                            mask = mask.copy()
+                            mask.flat[cell % mask.size] ^= True
+                        yield mask
+
+                monkeypatch.setattr(fractal, "_digit_blocks", flipped)
+                moved = -1 if np.isin(cell, scan._keys) else 1
+                expected = (False, len(geometric), len(scan) + moved)
+                assert fractal._matches_digit_route(system, n, None) == expected, (system, n)
+                monkeypatch.setattr(fractal, "_digit_blocks", digit_blocks)
+
+    @pytest.mark.parametrize("system, n", [(DigitSystem(4, 1), 6), (DigitSystem(2, 0), 12)],
+                             ids=str)
+    def test_verify_holds_a_few_block_masks(self, system, n):
+        # a byte per cell of a block: the two routes' masks, their comparison, the next pair
+        tracemalloc.start()
+        try:
+            assert fractal._matches_digit_route(system, n, None)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * fractal._SCAN_CELLS, peak
+
+    def test_digit_stream_builds_the_top_factor_a_row_at_a_time(self):
+        # at (65, 0) d2 a block is one scan row (k = 0); the whole m^2 x m^2 top factor,
+        # 17 MiB, was once built before the first block
+        system, block = DigitSystem(65, 0), 65**2
+        assert fractal._low_digits(system, 2) == 0
+        for _ in fractal._digit_blocks(system, 2, 10**7):  # numpy's first-call allocations
+            pass
+        tracemalloc.start()
+        try:
+            rows = sum(1 for _ in fractal._digit_blocks(system, 2, 10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == block
+        # the m x m rule is itself a block here, and numpy's ufunc buffers add a few more
+        assert peak < 32 * block, peak
 
     def test_geometric_blocks_out_of_order_rejected(self, monkeypatch):
         monkeypatch.setattr(fractal, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
-        stacked = fractal._stacked
+        blocks = fractal._geometric_blocks
 
-        def column_zero(low, i, j, width):  # the stream's calls, one int column each; not iterate's
-            return stacked(low, 0 if type(i) is int else i, j, width)
+        def reversed_blocks(system, n):  # every column's cells put in another column's rows
+            return reversed(list(blocks(system, n)))
 
-        # every column's squares put in column 0's rows: block 1 starts below block 0's end
-        monkeypatch.setattr(fractal, "_stacked", column_zero)
-        with pytest.raises(DomainError, match="^grid square blocks out of order$"):
-            list(fractal._geometric_blocks(DigitSystem(2, 0), 2))
+        # a block mask's rows are its place in the stream, so the comparison sees the swap
+        monkeypatch.setattr(fractal, "_geometric_blocks", reversed_blocks)
+        assert fractal._matches_digit_route(DigitSystem(2, 0), 2, None) == (False, 9, 9)
+        assert not equivalence_check(DigitSystem(2, 0), 2)
 
 
 class TestNesting:

@@ -67,6 +67,39 @@ def test_numeral_and_member_commands_run_without_numpy():
     ]
 
 
+STDLIB_GUARD = """
+import contextlib, io, sys
+from trihex import cli
+commands = [
+    ["verify", "--base", "3", "--balance", "1", "--depth", "3"],
+    ["dim", "--base", "3", "--balance", "1", "--depth", "4"],
+    ["gen", "--base", "2", "--depth", "2", "--format", "json"],
+    ["convert", "--int", "0", "--base", "2"],
+    ["add", "--x", "[1 0 . 2]@3b0", "--y", "[2 1 . 1]@3b0"],
+    ["carryfree", "--x", "[0 . 1]@2b0", "--y", "[0 . 0 1]@2b0"],
+    ["convert", "--x", "[1 0 . 2]@3b0"],
+    ["member", "--base", "2", "--point", "1/3,1/5", "--witness"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+    print(argv[0], "json" in sys.modules, "fractions" in sys.modules)
+"""
+
+
+def test_square_set_and_numeral_commands_load_neither_json_nor_fractions():
+    src = str(Path(trihex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", STDLIB_GUARD], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    assert out.splitlines() == [
+        "verify False False", "dim False False", "gen False False", "convert False False",
+        "add False False", "carryfree False False",
+        "convert False True",  # convert --x builds a Fraction
+        "member True True",  # --witness prints JSON, so the check above is not vacuous
+    ]
+
+
 EXPORTS = [
     "DEFAULT_MAX_SQUARES", "DigitString", "DigitSystem", "DimensionReport", "DomainError",
     "GeneratorLattice", "MembershipAutomaton", "Prefractal", "RasterSpec",

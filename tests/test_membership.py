@@ -259,5 +259,5 @@ def test_only_member_loads_the_membership_modules():
     assert loaded == [
         "['trihex.cli', 'trihex.errors', 'trihex.membership', 'trihex.radix']",
         "['json', 'trihex.cli', 'trihex.errors', 'trihex.membership', 'trihex.radix']",
-        "['json', 'trihex.cli', 'trihex.errors', 'trihex.fractal', 'trihex.radix', 'trihex.render']",
+        "['trihex.cli', 'trihex.errors', 'trihex.fractal', 'trihex.radix', 'trihex.render']",
     ]
