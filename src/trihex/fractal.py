@@ -17,7 +17,7 @@ that no square-set command compiles them.
 from __future__ import annotations
 
 import math
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain, zip_longest
 from typing import Iterator
 
@@ -96,34 +96,24 @@ _BLOCK = 65536  # squares per writer chunk, so a writer's memory does not grow w
 _SCAN_CELLS = 2**18  # cells per block of either route, so verify holds about one block of each
 
 
-@cache  # on first use: verify and dim import this module but format nothing
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII groups "0000".."9999" as uint32s, and the pad rows of _field."""
-    digits = np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4, indexing="ij")
-    # pad row d - 1 (+ 19 if negative): 0xFF over the last d of 20 columns, "-" just before them
-    keep = np.tri(19, 20, dtype=np.uint8)[:, ::-1] * 255
-    pads = np.concatenate([keep, keep + np.eye(19, 20, 1, np.uint8)[:, ::-1] * ord("-")])
-    return np.stack(digits, axis=-1).reshape(-1, 4).view(np.uint32), pads
-
-
 def _field(v: np.ndarray) -> np.ndarray:
-    """`b"%d" % x` for each x in the int64 column v, right-aligned in NUL-padded uint8 rows."""
+    """`b"%d" % x` for each x in the int64 column v, in uint8 rows NUL-padded at any position."""
     lo, hi = (int(v.min()), int(v.max())) if v.size else (0, 0)
     if hi - lo < v.size - 1:  # the column spans fewer values than rows: format each once
         return np.take(_field(np.arange(lo, hi + 1)), v - lo, axis=0)
-    quad_table, pad_table = _digit_tables()
-    a = np.abs(v)
-    w = len(str(a.max(initial=0))) + 1  # a column to spare for "-"
-    # the ASCII digits of a's base-10^4 groups, most significant first
-    quads = np.take(quad_table, a[:, None] // 10 ** (4 * np.arange((w + 3) // 4))[::-1] % 10000)
-    rows = np.searchsorted(10 ** np.arange(1, w - 1), a, side="right") + 19 * (v < 0)
-    pads = np.take(np.ascontiguousarray(pad_table[:, -w:]), rows, axis=0)
-    # min(digit, 0xFF) keeps a digit, min("0", NUL) blanks a leading zero, min("0", "-") signs
-    return np.minimum(quads.view(np.uint8)[:, -w:], pads, out=pads)
+    rest = np.abs(v)
+    w = len(str(rest.max(initial=0)))
+    rows = np.zeros((v.size, w + 1), np.uint8)
+    rows[v < 0, 0] = ord("-")
+    for c in range(w, 0, -1):  # units digit first; the columns left of the leading digit stay NUL
+        q = rest // 10  # numpy divides by a constant several times faster than it takes % 10
+        rows[:, c] = (rest - 10 * q + ord("0")) * (rest >= (c < w))  # the units digit even at 0
+        rest = q
+    return rows
 
 
 def _rows(template: bytes, *columns: np.ndarray) -> bytearray:
-    """`template % row` for each row of the given integer columns, concatenated."""
+    """`template % row` for each row of the integer columns, joined, with _field's NULs deleted."""
     head, *tails = template.split(b"%d")
     fields = [_field(c) for c in columns]
     skeleton = head + b"".join(bytes(f.shape[1]) + tail for f, tail in zip(fields, tails))
@@ -252,18 +242,6 @@ def unit_square(system: DigitSystem) -> Prefractal:
     return Prefractal(system, 0, [(0, 0)])
 
 
-def _stacked(low: Prefractal, tops_i, tops_j, width: int) -> np.ndarray:
-    """The keys, top by top, of low's squares under the top digits (tops_i, tops_j).
-
-    With s = m^low.depth and W = width, top square (I, J) on low's square
-    (i, j) is (I*s + i, J*s + j): the key (I*W + J)*s + i*W + j.  Tops on the
-    outer axis, so each top's keys are one ascending run of the result.
-    """
-    s = low.system.m**low.depth
-    base = low._keys + (low._keys // s) * (width - s)  # i*s + j becomes i*W + j
-    return (((tops_i * width + tops_j) * s)[:, None] + base).reshape(-1)
-
-
 def iterate(p: Prefractal, lat: GeneratorLattice,
             max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
     """One construction step: every square spawns one child per lattice shift.
@@ -278,9 +256,12 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
         raise DomainError(f"prefractal system {p.system} does not match lattice {lat.system}")
     _cap(p.depth + 1, len(p) * len(lat), max_squares)
     _key_frame(p.system, p.depth + 1)  # the child depth is gated before any key arithmetic
-    k, h = np.array(lat.points, dtype=np.int64).reshape(-1, 2).T
-    b, width = p.system.b, p.system.m ** (p.depth + 1)
-    keys = _canonical(_stacked(p, k + b, h + b, width))  # the sort merges len(lat) sorted runs
+    b, width, s = p.system.b, p.system.m ** (p.depth + 1), p.system.m**p.depth
+    tops_i, tops_j = np.array(lat.points, dtype=np.int64).reshape(-1, 2).T + b  # shifted digits
+    # top (I, J) on square (i, j) is (I*s + i, J*s + j): key (I*W + J)*s + i*W + j, W = width
+    base = p._keys + (p._keys // s) * (width - s)  # i*s + j becomes i*W + j
+    runs = ((tops_i * width + tops_j) * s)[:, None] + base  # an ascending run of keys per top
+    keys = _canonical(runs.reshape(-1))  # the sort merges len(lat) sorted runs
     return Prefractal._from_keys(p.system, p.depth + 1, keys)
 
 
@@ -370,10 +351,10 @@ def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Itera
 def prefractal_by_digits(system: DigitSystem, n: int,
                          max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
     """Depth-n squares selected by the digit condition alone (see _digit_blocks)."""
-    # block p starts at row p * m^k, so at key p * m^k * W: its flat indices are offset by that
+    # block p, rows from p * m^k on, starts at key p * m^k * W, above every key of block p - 1
     keys = [np.flatnonzero(mask) + p * mask.size
             for p, mask in enumerate(_digit_blocks(system, n, max_squares))]
-    return Prefractal._from_keys(system, n, _canonical(np.concatenate(keys)))
+    return Prefractal._from_keys(system, n, np.concatenate(keys))
 
 
 def _matches_digit_route(system: DigitSystem, n: int,

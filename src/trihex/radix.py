@@ -309,6 +309,8 @@ def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
 
 def _cap(n: int, expected: int, max_squares: int | None) -> None:
     """The one square cap: ResourceError when depth n needs more than max_squares squares."""
+    if max_squares is not None and type(max_squares) is not int:  # bool is no cap
+        raise DomainError(f"max_squares must be an integer or None, got {max_squares!r}")
     if max_squares is not None and expected > max_squares:
         raise ResourceError(f"depth {n} needs {expected} squares, over the cap {max_squares}")
 

@@ -304,6 +304,17 @@ class TestEntryGates:
         huge = DigitSystem(10**30, 0)
         assert ifs_prefractal(huge, 0) == unit_square(huge)
 
+    def test_cap_must_be_an_int_or_none(self):
+        builds = (ifs_prefractal, prefractal_by_digits, box_count_estimate, equivalence_check,
+                  lambda system, n, cap: iterate(unit_square(system), lattice(3, 1), cap))
+        for cap in ("x", True, False, 1.5, 10**6 + 0.5, np.int64(10**6), Fraction(10**6)):
+            for build in builds:
+                with pytest.raises(DomainError, match="max_squares must be an integer or None"):
+                    build(BT, 2, cap)
+        for build in builds:  # None and ints pass the rule
+            build(BT, 2, None)
+            build(BT, 2, 10**6)
+
     def test_non_rational_coordinates_are_domain_errors(self):
         system = DigitSystem(2, 0)
         square = unit_square(system)

@@ -1,5 +1,6 @@
 """The square writers against plain per-square and per-pixel reference formatters."""
 
+import hashlib
 import json
 import random
 import tracemalloc
@@ -167,6 +168,43 @@ def test_chunk_seams_match_reference(block, fmt, capsys, tmp_path, monkeypatch):
         stdout = capsys.readouterr().out.encode("ascii")
         assert cli.run([*argv, "--out", str(target)]) == 0
         assert stdout == target.read_bytes() == REFERENCE[fmt](p), p
+
+
+# SHA-256 of the full-size outputs, copied from GOLDEN in perfbench/workloads.py: each set
+# spans several blocks of the default _BLOCK, so the chunk seams of every writer show
+EMIT_GOLDEN = {
+    "gen --base 3 --balance 1 --depth 7":
+        "40d13a922ad6a205d36dedbf4c20c93b62b054743fbdf178fdc3263978015e86",
+    "gen --base 3 --balance 1 --depth 7 --format text":
+        "af740c104a1563ba7a096f0da2613a6eec47292149f754d3b34fed20e703f4c4",
+    "gen --base 3 --balance 1 --depth 7 --format svg":
+        "79bade2d0bc41c331f06a4d48ca381d77109b169338aeddc01777fba55e8d17a",
+    "render --base 3 --balance 1 --depth 7":
+        "24594f5646e5a09bb1b08bc4da66c9b3f83f41b0b4c1042a85ebba14a60e9db8",
+    "gen --base 2 --balance 0 --depth 12":
+        "1f434460ccb32a5f91912e034ef1fa6bfeb0a108ff1cfdbb67bf7249f08eb127",
+    "gen --base 2 --balance 0 --depth 12 --format text":
+        "46628398079c4218773a9559d884ce5cf1b7b2d6608b9f2e9b94944b9b51381a",
+    "gen --base 2 --balance 0 --depth 12 --format svg":
+        "fb8a618d646a7d228de86be957f5d7e04e193a5fa166b337331c77e744d342a5",
+    "render --base 2 --balance 0 --depth 12":
+        "f11340e0d48dd038b27ef6500922e614321109ddf9cbb7d29471abd5a34da71d",
+    "gen --base 5 --balance 2 --depth 4":
+        "60bf9723e182d7f4fc1f562d4391e154c178afd88539a4613b112a4b6519986b",
+    "gen --base 5 --balance 2 --depth 4 --format text":
+        "89d1a09dcc94ac0d160aa9ccec2b8d34917d49e3286d5b30d50acee037021408",
+    "gen --base 5 --balance 2 --depth 4 --format svg":
+        "782877831cb0b3e803db48632dd931fc93cef96c5bc3152fb51caf3320a2ab9f",
+    "render --base 5 --balance 2 --depth 4":
+        "eb99747dac4b415eb0ee2f48e1a1d1b9d4af1f528676cbfdf497d91bdc7604da",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMIT_GOLDEN))
+def test_full_size_outputs_match_golden_hashes(command, tmp_path):
+    target = tmp_path / "out"
+    assert cli.run([*command.split(), "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == EMIT_GOLDEN[command]
 
 
 def traced_peak(work):
