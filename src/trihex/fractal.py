@@ -10,15 +10,14 @@ boolean cell masks over the same blocks of scan rows, and
 no key array on either side; the geometric stream also holds P_(n-k),
 the whole set when a block is one row (see _geometric_blocks).  The
 membership decisions live in the numpy-free `trihex.membership` and
-`trihex.automaton`; they are re-exported here, loaded on first use, so
-that no square-set command compiles them.
+`trihex.automaton`; no square-set command compiles them.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import chain, zip_longest
+from itertools import chain, product
 from typing import Iterator
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "ifs_prefractal",
     "prefractal_by_digits",
     "equivalence_check",
-    "member",
     "covers_point",
     "prefractal_to_json",
     "prefractal_from_json",
@@ -48,19 +46,16 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name == "MembershipAutomaton":
+    if name == "MembershipAutomaton":  # perfbench/tracer.py reads it here; loaded on first use
         from .automaton import MembershipAutomaton
         return MembershipAutomaton
-    if name == "member":
-        from .membership import member
-        return member
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class GeneratorLattice(_Record):
-    """Shift pairs (k, h) of integers with k, h and k + h all inside the digit alphabet.
+    """A set of shift pairs (k, h) of integers with k, h and k + h all inside the digit alphabet.
 
-    Checked once, here: any other point is a DomainError.
+    Checked once, here: any other point, or a repeated one, is a DomainError.
     """
 
     __slots__ = ("system", "points")
@@ -76,6 +71,8 @@ class GeneratorLattice(_Record):
         coords = np.stack([k, h, k + h])  # int64 arrays: unlike numpy scalars, k + h never warns
         if not np.all((lo <= coords) & (coords <= hi)):
             raise outside
+        if np.any(np.diff(np.sort(k * system.m + h)) == 0):  # k*m + h is one-to-one here
+            raise DomainError(f"repeated lattice point in base {system}")
         super().__init__(system, pairs)  # edits to the caller's lists cannot reach it
 
     def __len__(self) -> int:
@@ -130,14 +127,6 @@ def _integers(values) -> bool:
     return all(issubclass(t, (int, np.integer)) and t is not bool for t in {*map(type, values)})
 
 
-def _canonical(keys: np.ndarray) -> np.ndarray:
-    """keys sorted in place, after the one rule: no duplicates."""
-    keys.sort(kind="stable")  # merges already-sorted runs in linear passes
-    if keys.size and bool(np.any(keys[1:] == keys[:-1])):
-        raise DomainError("duplicate grid squares")
-    return keys
-
-
 def _index_pairs(squares) -> np.ndarray:
     """Square indices as an N x 2 int64 array; only exact integers are accepted."""
     if isinstance(squares, np.ndarray):
@@ -181,12 +170,15 @@ class Prefractal:
         arr = _index_pairs(squares)
         if arr.size and (int(arr.min()) < lo or int(arr.max()) >= lo + width):
             raise DomainError(f"square index outside depth-{depth} range [{lo}, {lo + width - 1}]")
-        keys = _canonical((arr[:, 0] - lo) * width + (arr[:, 1] - lo))
+        keys = (arr[:, 0] - lo) * width + (arr[:, 1] - lo)
+        keys.sort(kind="stable")  # merges already-sorted runs in linear passes
+        if np.any(keys[1:] == keys[:-1]):
+            raise DomainError("duplicate grid squares")
         self.system, self.depth, self._keys = system, depth, keys
 
     @classmethod
     def _from_keys(cls, system: DigitSystem, depth: int, keys: np.ndarray) -> Prefractal:
-        """A prefractal over keys that are already canonical (see _canonical)."""
+        """A prefractal over keys that are already sorted and duplicate-free."""
         p = cls.__new__(cls)
         p.system, p.depth, p._keys = system, depth, keys
         return p
@@ -248,9 +240,9 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
 
     The child of square (i, j) under shift (k, h) is (i + k*m^depth,
     j + h*m^depth) at depth + 1: on keys, the shifted digits k + b and h + b
-    go on top of the parent's.  Distinct parents and shifts never collide;
-    a duplicate aborts rather than being silently merged.  The shifts were
-    checked when the lattice was built.
+    go on top of the parent's.  The shifts were checked, in the alphabet and
+    distinct, when the lattice was built, so distinct parents and shifts
+    never collide.
     """
     if p.system != lat.system:
         raise DomainError(f"prefractal system {p.system} does not match lattice {lat.system}")
@@ -261,7 +253,8 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
     # top (I, J) on square (i, j) is (I*s + i, J*s + j): key (I*W + J)*s + i*W + j, W = width
     base = p._keys + (p._keys // s) * (width - s)  # i*s + j becomes i*W + j
     runs = ((tops_i * width + tops_j) * s)[:, None] + base  # an ascending run of keys per top
-    keys = _canonical(runs.reshape(-1))  # the sort merges len(lat) sorted runs
+    keys = runs.reshape(-1)
+    keys.sort(kind="stable")  # merges the len(lat) sorted runs in place
     return Prefractal._from_keys(p.system, p.depth + 1, keys)
 
 
@@ -311,20 +304,6 @@ def ifs_prefractal(system: DigitSystem, n: int,
     return p
 
 
-def _kron_rows(rule: np.ndarray, t: int) -> Iterator[np.ndarray]:
-    """The rows of the t-fold Kronecker power of rule, in order, one at a time.
-
-    Row p*m + d is kron(row p of the (t-1)-fold power, rule[d]): the
-    Kronecker product of rule's rows at the t base-m digits of the row index.
-    """
-    if not t:
-        yield np.ones(1, bool)
-        return
-    for head in _kron_rows(rule, t - 1):
-        for r in rule:
-            yield np.outer(head, r).reshape(-1)  # kron of two vectors, without kron's set-up
-
-
 def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Iterator[np.ndarray]:
     """The digit route's cell masks, in blocks of whole scan rows of <= _SCAN_CELLS cells.
 
@@ -333,7 +312,9 @@ def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Itera
     are those of the n-fold Kronecker power of A, and a cell's flat index
     in that W x W power is the square key.  Block p is the m^k x W slice of
     rows from p * m^k on: kron(row p of the (n-k)-fold power, the k-fold
-    power), so neither the whole power nor its top factor is ever built.
+    power).  Row p is the outer product of A's rows at p's n-k base-m
+    digits, which itertools.product yields in row order, so neither the
+    whole power nor its top factor is ever built.
     All W^2 cells are scanned, a block at a time, independently of the
     geometric route, after the gates.
     """
@@ -344,8 +325,8 @@ def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Itera
     digit_rule = (u >= b - u[:, None]) & (u <= m - 1 + b - u[:, None])  # b <= u + v <= m-1+b
     k = _low_digits(system, n)
     low = reduce(np.kron, [digit_rule] * k, np.ones((1, 1), bool))
-    for row in _kron_rows(digit_rule, n - k):
-        yield np.kron(row, low)
+    for rows in product(digit_rule, repeat=n - k):
+        yield np.kron(reduce(np.multiply.outer, rows, np.ones(1, bool)).reshape(-1), low)
 
 
 def prefractal_by_digits(system: DigitSystem, n: int,
@@ -365,13 +346,17 @@ def _matches_digit_route(system: DigitSystem, n: int,
     first, so its gates (_gate, then the scan cap) run before either route
     builds.
     """
-    same, counts = True, [0, 0]
-    for digit, geometric in zip_longest(_digit_blocks(system, n, max_squares),
-                                        _geometric_blocks(system, n), fillvalue=()):
+    same, counts, end = True, [0, 0], ()
+    digits = iter(_digit_blocks(system, n, max_squares))
+    geometrics = iter(_geometric_blocks(system, n))
+    while True:
+        digit, geometric = next(digits, end), next(geometrics, end)  # a shorter stream reads ()
+        if digit is end and geometric is end:
+            return same, *map(int, counts)
         same = same and np.array_equal(geometric, digit)
         counts[0] += np.count_nonzero(geometric)  # counted past a difference, for MISMATCH
         counts[1] += np.count_nonzero(digit)
-    return same, *map(int, counts)
+        del digit, geometric  # released before the next pair is built
 
 
 def equivalence_check(system: DigitSystem, n: int,

@@ -253,6 +253,13 @@ class TestIterate:
         assert iterate(unit_square(BT), lat) == ifs_prefractal(BT, 1)
         assert len(fractal.GeneratorLattice(BT, [])) == 0
 
+    @pytest.mark.parametrize("points", [((0, 0), (0, 0), (1, 0)), np.array([[1, -1], [1, -1]]),
+                                        ((np.int64(0), 1), (0, np.int64(1)))])
+    def test_repeated_lattice_point_rejected(self, points):
+        # a lattice is a set: a repeat is refused where it enters, so iterate never sees one
+        with pytest.raises(DomainError, match="repeated lattice point in base 3b1"):
+            fractal.GeneratorLattice(BT, points)
+
     def test_resource_cap(self):
         p = ifs_prefractal(DigitSystem(2, 0), 4)
         with pytest.raises(ResourceError) as err:
@@ -460,14 +467,14 @@ class TestDigitConstruction:
     @pytest.mark.parametrize("system, n", [(DigitSystem(4, 1), 6), (DigitSystem(2, 0), 12)],
                              ids=str)
     def test_verify_holds_a_few_block_masks(self, system, n):
-        # a byte per cell of a block: the two routes' masks, their comparison, the next pair
+        # a byte per cell of a block: the two routes' masks and their comparison, one pair
         tracemalloc.start()
         try:
             assert fractal._matches_digit_route(system, n, None)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * fractal._SCAN_CELLS, peak
+        assert peak < 4 * fractal._SCAN_CELLS, peak
 
     def test_digit_stream_builds_the_top_factor_a_row_at_a_time(self):
         # at (65, 0) d2 a block is one scan row (k = 0); the whole m^2 x m^2 top factor,
@@ -547,6 +554,35 @@ class TestSymmetry:
                 x = iv.lo + Fraction(rng.randint(0, q), q) * (iv.hi - iv.lo)
                 y = iv.lo + Fraction(rng.randint(0, q), q) * (iv.hi - iv.lo)
                 assert member(x, y, system) == member(y, x, system)
+
+    # With c = m-1-2b, the digits of i, j and K - i - j sum to c at every position, K the
+    # n-digit numeral of c's, so each permutation of the three maps P_n onto itself: the
+    # triangle's group S3.  When c = 0 (a symmetric alphabet), so does (i, j) -> (-i, -j),
+    # and the group has order 12, the hexagon's.
+    def test_triangle_group_maps_every_set_onto_itself(self):
+        for system in legal_systems(7):
+            m, c = system.m, system.m - 1 - 2 * system.b
+            ell, n = lattice_cardinality(m, system.b), 0
+            while ell**n <= 2 * 10**5:
+                p = ifs_prefractal(system, n)
+                i, j = p.squares.T
+                k = c * (m**n - 1) // (m - 1) - i - j
+                for image in [(j, i), (k, j)] + [(-i, -j)] * (c == 0):
+                    assert Prefractal(system, n, np.stack(image, axis=1)) == p, (system, n)
+                n += 1
+
+    def test_member_under_the_triangle_group(self):
+        rng, answers = random.Random(0x20), []
+        for system in legal_systems(7):
+            m, c, iv = system.m, system.m - 1 - 2 * system.b, system.interval()
+            for _ in range(150):
+                q = rng.randint(1, 300)
+                x = iv.lo + Fraction(rng.randint(0, q), q) * (iv.hi - iv.lo)
+                y = iv.lo + Fraction(rng.randint(0, q), q) * (iv.hi - iv.lo)
+                answers.append(member(x, y, system))
+                for u, v in [(y, x), (Fraction(c, m - 1) - x - y, y)] + [(-x, -y)] * (c == 0):
+                    assert member(u, v, system) == answers[-1], (system, x, y, u, v)
+        assert 0 < sum(answers) < len(answers)  # members and non-members both mapped
 
 
 class TestMembership:
