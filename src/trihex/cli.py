@@ -123,16 +123,17 @@ def _cmd_member(args) -> int:
 
 def _cmd_gen(args) -> int:
     from .fractal import _json_chunks, _rows, _square_blocks, ifs_prefractal
-    from .render import _pbm_chunks, _svg_chunks, rasterize
+    from .render import _set_pbm_chunks, _svg_chunks
 
     system = DigitSystem(args.base, args.balance)
+    if args.format == "pbm":  # the digit route's rows, with no Prefractal
+        _emit(_set_pbm_chunks(system, args.depth, args.max_squares), args.out)
+        return 0
     p = ifs_prefractal(system, args.depth, args.max_squares)
     if args.format == "json":
         chunks = chain(_json_chunks(p), [b"\n"])
     elif args.format == "text":
         chunks = (_rows(b"%d %d\n", i, j) for i, j in _square_blocks(p))
-    elif args.format == "pbm":
-        chunks = _pbm_chunks(rasterize(p)[1])
     else:
         chunks = _svg_chunks(p)
     _emit(chunks, args.out)

@@ -5,10 +5,12 @@ geometric route (each square spawns one child per generator-lattice
 shift) and the digit route (the n-fold Kronecker power of the m x m
 matrix that marks the digit pairs whose sum stays inside the alphabet;
 the flat indices of its set cells are the square keys).  Both stream
-boolean cell masks over the same blocks of scan rows, and
-`equivalence_check` compares them a block of each route at a time, with
-no key array on either side; the geometric stream also holds P_(n-k),
-the whole set when a block is one row (see _geometric_blocks).  The
+boolean cell masks over the same blocks of scan rows, each route in one
+reused buffer, and `equivalence_check` compares them a block of each
+route at a time, in place, with no key array on either side; the
+geometric stream also holds P_(n-k), the whole set when a block is one
+row (see _geometric_blocks).  Read last row first, the digit route's
+rows are also the PBM rows that `render` streams (see trihex.render).  The
 membership decisions live in the numpy-free `trihex.membership` and
 `trihex.automaton`; no square-set command compiles them.
 """
@@ -276,7 +278,8 @@ def _geometric_blocks(system: DigitSystem, n: int) -> Iterator[np.ndarray]:
     under each top J of column I of P_d, as an m^k x W mask.  P_d is held
     throughout, and at k = 0 it is P_n: building a column from the digits
     of its index instead would be the digit rule again, and the two routes
-    would stop being independent.
+    would stop being independent.  Every block is one buffer, cleared and
+    refilled at each step: a yielded block is valid only until the next pull.
     """
     k = _low_digits(system, n)
     s, columns = system.m**k, system.m ** (n - k)
@@ -286,8 +289,9 @@ def _geometric_blocks(system: DigitSystem, n: int) -> Iterator[np.ndarray]:
     low_mask[low._keys] = True
     low_mask = low_mask.reshape(s, 1, s)  # the low digits of i, one top, the low digits of j
     ends = np.searchsorted(top._keys, np.arange(columns + 1) * columns)  # top key I*columns + J
+    mask = np.empty((s, columns, s), bool)
     for c in range(columns):
-        mask = np.zeros((s, columns, s), bool)
+        mask.fill(False)
         mask[:, top._keys[ends[c] : ends[c + 1]] - c * columns, :] = low_mask
         yield mask.reshape(s, -1)  # cell (i, J*s + j) of the block: key (c*s + i)*W + J*s + j
 
@@ -304,7 +308,8 @@ def ifs_prefractal(system: DigitSystem, n: int,
     return p
 
 
-def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Iterator[np.ndarray]:
+def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None,
+                  top_down: bool = False) -> Iterator[np.ndarray]:
     """The digit route's cell masks, in blocks of whole scan rows of <= _SCAN_CELLS cells.
 
     On digits shifted by b into [0, m-1] the rule is one m x m boolean
@@ -314,19 +319,31 @@ def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None) -> Itera
     rows from p * m^k on: kron(row p of the (n-k)-fold power, the k-fold
     power).  Row p is the outer product of A's rows at p's n-k base-m
     digits, which itertools.product yields in row order, so neither the
-    whole power nor its top factor is ever built.
-    All W^2 cells are scanned, a block at a time, independently of the
-    geometric route, after the gates.
+    whole power nor its top factor is ever built.  top_down yields the rows
+    in reverse order, row W-1 first, from A[::-1]: reversing A's rows
+    reverses every base-m digit of a row index, so the power of A[::-1]
+    holds row i of A's power at row W-1-i.
+    The gates (_gate, then the scan cap) run at the call, before any
+    block; all W^2 cells are then scanned, a block at a time, independently
+    of the geometric route.  Every block is written into one buffer: a
+    yielded block is valid only until the next pull.
     """
     _, width = _gate(system, n, max_squares)
     if max_squares is not None and width * width > 32 * max_squares:
         raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
     m, b, u = system.m, system.b, np.arange(system.m)
-    digit_rule = (u >= b - u[:, None]) & (u <= m - 1 + b - u[:, None])  # b <= u + v <= m-1+b
+    rule = (u >= b - u[:, None]) & (u <= m - 1 + b - u[:, None])  # b <= u + v <= m-1+b
+    rule = rule[::-1] if top_down else rule
     k = _low_digits(system, n)
-    low = reduce(np.kron, [digit_rule] * k, np.ones((1, 1), bool))
-    for rows in product(digit_rule, repeat=n - k):
-        yield np.kron(reduce(np.multiply.outer, rows, np.ones(1, bool)).reshape(-1), low)
+    low = reduce(np.kron, [rule] * k, np.ones((1, 1), bool))
+    block = np.empty((m**k, m ** (n - k), m**k), bool)  # cell (i, J, j) is top[J] and low[i, j]
+
+    def blocks():
+        for rows in product(rule, repeat=n - k):
+            top = reduce(np.multiply.outer, rows, np.ones(1, bool)).reshape(-1)  # row p, on top
+            yield np.multiply(low[:, None, :], top[:, None], out=block).reshape(m**k, -1)
+
+    return blocks()
 
 
 def prefractal_by_digits(system: DigitSystem, n: int,
@@ -342,9 +359,11 @@ def _matches_digit_route(system: DigitSystem, n: int,
                          max_squares: int | None) -> tuple[bool, int, int]:
     """(the two routes give the same cells, the geometric count, the digit count).
 
-    One block mask of each route at a time.  The digit route is pulled
+    One block mask of each route at a time.  The digit route is called
     first, so its gates (_gate, then the scan cap) run before either route
-    builds.
+    builds.  Each pair is counted, then compared in place: the geometric
+    block is overwritten with the XOR of the two, as its route refills it
+    at the next pull anyway.
     """
     same, counts, end = True, [0, 0], ()
     digits = iter(_digit_blocks(system, n, max_squares))
@@ -353,10 +372,10 @@ def _matches_digit_route(system: DigitSystem, n: int,
         digit, geometric = next(digits, end), next(geometrics, end)  # a shorter stream reads ()
         if digit is end and geometric is end:
             return same, *map(int, counts)
-        same = same and np.array_equal(geometric, digit)
         counts[0] += np.count_nonzero(geometric)  # counted past a difference, for MISMATCH
         counts[1] += np.count_nonzero(digit)
-        del digit, geometric  # released before the next pair is built
+        same = same and np.shape(geometric) == np.shape(digit) and not (
+            np.logical_xor(geometric, digit, out=geometric).any())
 
 
 def equivalence_check(system: DigitSystem, n: int,

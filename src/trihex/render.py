@@ -3,19 +3,22 @@
 One pixel or one unit rect per grid cell, nothing resampled: prefractals
 are exactly grid-aligned, so any other policy would lose exactness.
 Row 0 of a raster is the top of the image (largest j), keeping +y up.
+The PBM of a constructed set (`render`, `gen --format pbm`) streams the
+digit route's rows (_set_pbm_chunks), with no Prefractal and no bitmap;
+rasterize and write_pbm serve library sets.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import fractal
-from .errors import DomainError
+from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .fractal import Prefractal, _rows, _square_blocks
-from .radix import _Record
+from .radix import DigitSystem, _Record
 
 __all__ = ["RasterSpec", "rasterize", "write_pbm", "write_svg"]
 
@@ -37,8 +40,15 @@ def _bounding_box(p: Prefractal) -> RasterSpec:
 
 
 def rasterize(p: Prefractal) -> tuple[RasterSpec, np.ndarray]:
-    """Bitmap with pixel (row, col) set iff the matching cell is a square."""
+    """Bitmap with pixel (row, col) set iff the matching cell is a square.
+
+    ResourceError, before the bitmap is allocated, past 32 * DEFAULT_MAX_SQUARES
+    pixels: the cells that the PBM stream of `render` scans at the default cap.
+    """
     spec = _bounding_box(p)
+    if spec.width * spec.height > 32 * DEFAULT_MAX_SQUARES:
+        raise ResourceError(f"raster of {spec.width} x {spec.height} pixels exceeds the cap "
+                            f"{32 * DEFAULT_MAX_SQUARES}")
     i_min, j_min = spec.origin
     bitmap = np.zeros((spec.height, spec.width), dtype=np.uint8)
     for i, j in _square_blocks(p):
@@ -49,14 +59,24 @@ def rasterize(p: Prefractal) -> tuple[RasterSpec, np.ndarray]:
 def _pbm_rows(bitmap: np.ndarray) -> bytes:
     """Each row as w digits and w - 1 spaces, then a newline (alone when w = 0)."""
     h, w = bitmap.shape
-    rows = np.full((h, max(2 * w, 1)), ord(" "), dtype=np.uint8)
-    rows[:, :-1:2] = bitmap.astype(bool) + np.uint8(ord("0"))  # bool(v), also for objects
-    rows[:, -1] = ord("\n")
-    return rows.tobytes()
+    if not w:
+        return b"\n" * h
+    pairs = np.empty((h, w), "<u2")  # a pixel's digit, then a space: 0x2030 is "0 "
+    bits = bitmap.astype(bool).view(np.uint8)  # bool(v), also for objects
+    np.add(bits, np.uint16(0x2030), out=pairs)
+    pairs.view(np.uint8)[:, -1] = ord("\n")  # each row's last space
+    return pairs.tobytes()
 
 
-def _pbm_chunks(bitmap) -> Iterator[bytes]:
-    """write_pbm as chunks of whole rows, about _BLOCK pixels each; checked before any chunk."""
+def _pbm(width: int, height: int, blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
+    """The one PBM path: the header, then blocks of bitmap rows, about _BLOCK pixels a chunk."""
+    step = max(1, fractal._BLOCK // max(width, 1))
+    body = (_pbm_rows(block[r : r + step]) for block in blocks for r in range(0, len(block), step))
+    return chain([f"P1\n{width} {height}\n".encode("ascii")], body)
+
+
+def write_pbm(bitmap) -> bytes:
+    """Plain PBM (magic P1, ASCII); set pixel = 1 = black."""
     try:
         bitmap = np.asarray(bitmap)
     except ValueError:  # ragged rows
@@ -64,14 +84,21 @@ def _pbm_chunks(bitmap) -> Iterator[bytes]:
     if bitmap.ndim != 2:
         raise DomainError("bitmap must be two-dimensional")
     h, w = bitmap.shape
-    step = max(1, fractal._BLOCK // max(w, 1))
-    body = (_pbm_rows(bitmap[r : r + step]) for r in range(0, h, step))
-    return chain([f"P1\n{w} {h}\n".encode("ascii")], body)
+    return b"".join(_pbm(w, h, [bitmap]))
 
 
-def write_pbm(bitmap) -> bytes:
-    """Plain PBM (magic P1, ASCII); set pixel = 1 = black."""
-    return b"".join(_pbm_chunks(bitmap))
+def _set_pbm_chunks(system: DigitSystem, n: int, max_squares: int | None) -> Iterator[bytes]:
+    """write_pbm(rasterize(ifs_prefractal(system, n))[1]) in chunks, with neither built.
+
+    The set's box is the whole index_bounds square, W = m^n cells a side:
+    digits all -b, or all m-1-b, on i or on j, pair with j or i of digits
+    all 0.  PBM row r is j = hi - r over i = lo ... hi, the column W-1-r
+    of the digit route's Kronecker power; its rule is symmetric, so that
+    is row W-1-r, and the top_down blocks are the PBM rows in order.  The
+    gates (_gate, then the digit scan cap) run here, before any chunk.
+    """
+    blocks = fractal._digit_blocks(system, n, max_squares, top_down=True)
+    return _pbm(system.m**n, system.m**n, blocks)
 
 
 def _svg_chunks(p: Prefractal) -> Iterator[bytes]:

@@ -231,7 +231,7 @@ class TestVerify:
         blocks = fractal._digit_blocks
 
         def edited(system, n, max_squares):
-            return edit(list(blocks(system, n, max_squares)))
+            return edit([b.copy() for b in blocks(system, n, max_squares)])
 
         monkeypatch.setattr(fractal, "_digit_blocks", edited)
 
@@ -271,7 +271,7 @@ class TestVerify:
         blocks = fractal._geometric_blocks
 
         def drop_first_key_of_block_one(system, n):
-            got = list(blocks(system, n))
+            got = [b.copy() for b in blocks(system, n)]
             keys = [(np.flatnonzero(b) + p * b.size).tolist() for p, b in enumerate(got)]
             assert keys == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
             return [got[0], self.drop_first_cell(got[1]), *got[2:]]

@@ -402,7 +402,7 @@ class TestDigitConstruction:
         for system in legal_systems(7):
             for n in range(4 if system.m < 7 else 3):
                 width = system.m**n
-                blocks = list(fractal._digit_blocks(system, n, None))
+                blocks = [b.copy() for b in fractal._digit_blocks(system, n, None)]
                 rows = blocks[0].shape[0]  # whole scan rows, the same number in every block
                 assert all(b.shape == (rows, width) for b in blocks), (system, n, cells)
                 assert rows * len(blocks) == width and rows * width <= max(cells, width)
@@ -416,8 +416,8 @@ class TestDigitConstruction:
         monkeypatch.setattr(fractal, "_SCAN_CELLS", cells)
         for system in legal_systems(7):
             for n in range(4):
-                blocks = list(fractal._geometric_blocks(system, n))
-                digit_blocks = list(fractal._digit_blocks(system, n, None))
+                blocks = [b.copy() for b in fractal._geometric_blocks(system, n)]
+                digit_blocks = [b.copy() for b in fractal._digit_blocks(system, n, None)]
                 assert len(blocks) == len(digit_blocks), (system, n, cells)
                 for block, digit_block in zip(blocks, digit_blocks):
                     assert block.dtype == bool, (system, n, cells)
@@ -431,11 +431,12 @@ class TestDigitConstruction:
     def test_one_row_blocks_at_the_default_size(self, system):
         # m rows of m cells are over _SCAN_CELLS, so k = 0 and P_(n-k) is the whole of P_1
         assert system.m**2 > fractal._SCAN_CELLS and fractal._low_digits(system, 1) == 0
-        blocks = list(fractal._geometric_blocks(system, 1))
+        blocks = [b.copy() for b in fractal._geometric_blocks(system, 1)]
         assert len(blocks) == system.m and all(b.shape == (1, system.m) for b in blocks)
         cells = np.concatenate(blocks)
         assert np.array_equal(np.flatnonzero(cells), ifs_prefractal(system, 1)._keys)
-        assert np.array_equal(cells, np.concatenate(list(fractal._digit_blocks(system, 1, None))))
+        digit_blocks = [b.copy() for b in fractal._digit_blocks(system, 1, None)]
+        assert np.array_equal(cells, np.concatenate(digit_blocks))
         assert equivalence_check(system, 1)
 
     @pytest.mark.parametrize("cells", [1, 5, 13, 50, 300])
@@ -467,14 +468,14 @@ class TestDigitConstruction:
     @pytest.mark.parametrize("system, n", [(DigitSystem(4, 1), 6), (DigitSystem(2, 0), 12)],
                              ids=str)
     def test_verify_holds_a_few_block_masks(self, system, n):
-        # a byte per cell of a block: the two routes' masks and their comparison, one pair
+        # a byte per cell of a block: the two routes' masks, one pair, compared in place
         tracemalloc.start()
         try:
             assert fractal._matches_digit_route(system, n, None)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * fractal._SCAN_CELLS, peak
+        assert peak < 3 * fractal._SCAN_CELLS, peak
 
     def test_digit_stream_builds_the_top_factor_a_row_at_a_time(self):
         # at (65, 0) d2 a block is one scan row (k = 0); the whole m^2 x m^2 top factor,
@@ -498,7 +499,7 @@ class TestDigitConstruction:
         blocks = fractal._geometric_blocks
 
         def reversed_blocks(system, n):  # every column's cells put in another column's rows
-            return reversed(list(blocks(system, n)))
+            return reversed([b.copy() for b in blocks(system, n)])
 
         # a block mask's rows are its place in the stream, so the comparison sees the swap
         monkeypatch.setattr(fractal, "_geometric_blocks", reversed_blocks)

@@ -190,6 +190,37 @@ def test_certificates_of_the_readme_points():
     assert _certificate(2, 0, DigitSystem(2, 0)) == {"member": False, "outside": True}
 
 
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_member_certificates_map_under_the_triangle_group(system):
+    # the symmetries act on a member's lassos digit by digit: (y, x) swaps them;
+    # (c/(m-1) - x - y, y) has the digits c - x_t - y_t, c = m-1-2b, whose sum with
+    # y_t is c - x_t, again a digit; and (-x, -y), when c = 0, negates every digit
+    m, c = system.m, system.m - 1 - 2 * system.b
+    iv = system.interval()
+    values = {iv.lo + Fraction(k, q) * (iv.hi - iv.lo)
+              for q in (1, 2, 3, 4, 5, 6, m, m * m) for k in range(q + 1)}
+    members = 0
+    for x, y in product(values, repeat=2):
+        cert = _certificate(x, y, system)
+        if not cert["member"]:
+            continue  # a non-member's last digit pair leaves the alphabet, so its pairs do not map
+        members += 1
+        lx, ly = cert["x"], cert["y"]
+        assert [len(lx[part]) for part in lx] == [len(ly[part]) for part in ly]
+
+        def lasso(digit):
+            return {part: [digit(a, b) for a, b in zip(lx[part], ly[part])] for part in lx}
+
+        mapped = [((y, x), ly, lx),
+                  ((Fraction(c, m - 1) - x - y, y), lasso(lambda a, b: c - a - b), ly)]
+        if c == 0:
+            mapped.append(((-x, -y), lasso(lambda a, b: -a), lasso(lambda a, b: -b)))
+        for (u, v), lu, lv in mapped:
+            assert trihex.check_certificate(u, v, system, {"member": True, "x": lu, "y": lv}), (
+                system, x, y, u, v)
+    assert members >= 2 * len(values)
+
+
 def test_non_member_leaves_the_cover_standard_base():
     # for b = 0 the depth-n cover holds exactly the points with a carry-free pair of
     # n-digit expansion prefixes: a non-member whose expansion pairs have all failed

@@ -10,6 +10,7 @@ import pytest
 
 from trihex import (
     DigitSystem,
+    DomainError,
     Prefractal,
     cli,
     ifs_prefractal,
@@ -101,6 +102,8 @@ def test_gen_matches_reference_at_extreme_indices(p, fmt, capsys, tmp_path, monk
 
 
 def assert_gen_matches_reference(p, fmt, capsys, tmp_path, monkeypatch):
+    if fmt == "pbm":  # gen streams a constructed set's digit rows: a library set is rasterized
+        return assert_library_pbm_matches_reference(p)
     monkeypatch.setattr("trihex.fractal.ifs_prefractal", lambda system, n, cap: p)
     argv = ["gen", "--base", str(p.system.m), "--balance", str(p.system.b),
             "--depth", str(p.depth), "--format", fmt]
@@ -113,6 +116,14 @@ def assert_gen_matches_reference(p, fmt, capsys, tmp_path, monkeypatch):
     assert cli.run([*argv, "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert stdout == target.read_bytes() == REFERENCE[fmt](p)
+
+
+def assert_library_pbm_matches_reference(p):
+    if not len(p):
+        with pytest.raises(DomainError):
+            rasterize(p)
+        return
+    assert write_pbm(rasterize(p)[1]) == REFERENCE["pbm"](p), p
 
 
 BOUND = 3_037_000_499  # the widest key frame, W = floor(sqrt(2^63)), holds |i|, |j| < W
@@ -161,6 +172,9 @@ def test_chunk_seams_match_reference(block, fmt, capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("trihex.fractal._BLOCK", block)
     target = tmp_path / "out"
     for p in seam_sets():
+        if fmt == "pbm":  # write_pbm's chunks of rows; test_render covers the streamed rows
+            assert_library_pbm_matches_reference(p)
+            continue
         monkeypatch.setattr("trihex.fractal.ifs_prefractal", lambda system, n, cap, p=p: p)
         argv = ["gen", "--base", str(p.system.m), "--balance", str(p.system.b),
                 "--depth", str(p.depth), "--format", fmt]
