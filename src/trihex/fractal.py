@@ -93,6 +93,7 @@ def lattice(m: int, b: int = 0) -> GeneratorLattice:
 
 _BLOCK = 65536  # squares per writer chunk, so a writer's memory does not grow with its output
 _SCAN_CELLS = 2**18  # cells per block of either route, so verify holds about one block of each
+_SCAN_RATIO = 32  # cells the digit scan may visit per square of the cap
 
 
 def _field(v: np.ndarray) -> np.ndarray:
@@ -329,8 +330,10 @@ def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None,
     yielded block is valid only until the next pull.
     """
     _, width = _gate(system, n, max_squares)
-    if max_squares is not None and width * width > 32 * max_squares:
+    if max_squares is not None and width * width > _SCAN_RATIO * max_squares:
         raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
+    if not n:  # the one cell of the empty power; no m x m rule, however large the base
+        return iter([np.ones((1, 1), bool)])
     m, b, u = system.m, system.b, np.arange(system.m)
     rule = (u >= b - u[:, None]) & (u <= m - 1 + b - u[:, None])  # b <= u + v <= m-1+b
     rule = rule[::-1] if top_down else rule

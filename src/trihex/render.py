@@ -42,13 +42,12 @@ def _bounding_box(p: Prefractal) -> RasterSpec:
 def rasterize(p: Prefractal) -> tuple[RasterSpec, np.ndarray]:
     """Bitmap with pixel (row, col) set iff the matching cell is a square.
 
-    ResourceError, before the bitmap is allocated, past 32 * DEFAULT_MAX_SQUARES
+    ResourceError, before the bitmap is allocated, past _SCAN_RATIO * DEFAULT_MAX_SQUARES
     pixels: the cells that the PBM stream of `render` scans at the default cap.
     """
-    spec = _bounding_box(p)
-    if spec.width * spec.height > 32 * DEFAULT_MAX_SQUARES:
-        raise ResourceError(f"raster of {spec.width} x {spec.height} pixels exceeds the cap "
-                            f"{32 * DEFAULT_MAX_SQUARES}")
+    spec, cap = _bounding_box(p), fractal._SCAN_RATIO * DEFAULT_MAX_SQUARES
+    if spec.width * spec.height > cap:
+        raise ResourceError(f"raster of {spec.width} x {spec.height} pixels exceeds the cap {cap}")
     i_min, j_min = spec.origin
     bitmap = np.zeros((spec.height, spec.width), dtype=np.uint8)
     for i, j in _square_blocks(p):
@@ -59,13 +58,10 @@ def rasterize(p: Prefractal) -> tuple[RasterSpec, np.ndarray]:
 def _pbm_rows(bitmap: np.ndarray) -> bytes:
     """Each row as w digits and w - 1 spaces, then a newline (alone when w = 0)."""
     h, w = bitmap.shape
-    if not w:
-        return b"\n" * h
-    pairs = np.empty((h, w), "<u2")  # a pixel's digit, then a space: 0x2030 is "0 "
-    bits = bitmap.astype(bool).view(np.uint8)  # bool(v), also for objects
-    np.add(bits, np.uint16(0x2030), out=pairs)
-    pairs.view(np.uint8)[:, -1] = ord("\n")  # each row's last space
-    return pairs.tobytes()
+    rows = np.full((h, max(2 * w, 1)), ord(" "), dtype=np.uint8)
+    rows[:, :-1:2] = bitmap.astype(bool) + np.uint8(ord("0"))  # bool(v), also for objects
+    rows[:, -1] = ord("\n")
+    return rows.tobytes()
 
 
 def _pbm(width: int, height: int, blocks: Iterable[np.ndarray]) -> Iterator[bytes]:

@@ -288,6 +288,11 @@ class TestVerify:
             assert (code, out) == (1, ""), command
             assert err == "error: depth 0 needs 1 squares, over the cap 0\n", command
 
+    def test_depth_zero_with_a_huge_base(self, capsys):
+        # one square at depth 0, built without the m x m digit rule
+        assert invoke(capsys, "verify", "--base", str(10**30), "--depth", "0") == (
+            0, "equivalence: ok (1 squares)\n", "")
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):

@@ -310,6 +310,8 @@ class TestEntryGates:
         # depth 0 needs no lattice, however large the base
         huge = DigitSystem(10**30, 0)
         assert ifs_prefractal(huge, 0) == unit_square(huge)
+        assert prefractal_by_digits(huge, 0) == unit_square(huge)  # nor the digit rule
+        assert equivalence_check(huge, 0)
 
     def test_cap_must_be_an_int_or_none(self):
         builds = (ifs_prefractal, prefractal_by_digits, box_count_estimate, equivalence_check,

@@ -169,15 +169,26 @@ class TestPbmStream:
             assert cli_pbm(capsys, tmp_path, "render", *flags) == expected, (system, n)
             assert cli_pbm(capsys, tmp_path, "gen", *flags, "--format", "pbm") == expected
 
+    @pytest.mark.parametrize("block", [1, 3, 20])
     @pytest.mark.parametrize("cells", [1, 5, 13, 50])
-    def test_block_seams(self, cells, capsys, tmp_path, monkeypatch):
-        # one-row blocks, and blocks of m^k rows, each a chunk of the output
+    def test_block_seams(self, cells, block, capsys, tmp_path, monkeypatch):
+        # one-row blocks, and blocks of m^k rows, split into chunks of one row or of several
         monkeypatch.setattr(fractal, "_SCAN_CELLS", cells)
+        monkeypatch.setattr(fractal, "_BLOCK", block)
         for system in legal_systems(5):
             for n in range(4):
                 expected = write_pbm(rasterize(ifs_prefractal(system, n))[1])
                 flags = ["--base", str(system.m), "--balance", str(system.b), "--depth", str(n)]
                 assert cli_pbm(capsys, tmp_path, "render", *flags) == expected, (system, n)
+
+    def test_depth_zero_builds_no_rule(self, capsys, tmp_path):
+        # one cell, however large the base: the m x m digit rule is never allocated
+        for m in (10**6, 10**30):
+            expected = write_pbm(rasterize(ifs_prefractal(DigitSystem(m, 0), 0))[1])
+            assert expected == b"P1\n1 1\n1\n"
+            for command in (["render"], ["gen", "--format", "pbm"]):
+                assert cli_pbm(capsys, tmp_path, *command, "--base", str(m), "--depth", "0") \
+                    == expected, (command, m)
 
     def test_builds_no_prefractal(self, capsys, tmp_path, monkeypatch):
         def no_set(*args):
