@@ -151,12 +151,17 @@ class TestSvg:
 
 
 def stream_cases():
-    """Every legal system with m <= 7, at each depth with at most 2 * 10^5 squares."""
+    """Every legal system with m <= 7, at each depth with at most 2 * 10^5 squares.
+
+    Then depth 0 at two bases whose m x m digit rule could not be allocated.
+    """
     for system in legal_systems(7):
         n = 0
         while lattice_cardinality(system.m, system.b) ** n <= 2 * 10**5:
             yield system, n
             n += 1
+    yield DigitSystem(10**6, 0), 0
+    yield DigitSystem(10**30, 0), 0
 
 
 class TestPbmStream:
@@ -180,15 +185,6 @@ class TestPbmStream:
                 expected = write_pbm(rasterize(ifs_prefractal(system, n))[1])
                 flags = ["--base", str(system.m), "--balance", str(system.b), "--depth", str(n)]
                 assert cli_pbm(capsys, tmp_path, "render", *flags) == expected, (system, n)
-
-    def test_depth_zero_builds_no_rule(self, capsys, tmp_path):
-        # one cell, however large the base: the m x m digit rule is never allocated
-        for m in (10**6, 10**30):
-            expected = write_pbm(rasterize(ifs_prefractal(DigitSystem(m, 0), 0))[1])
-            assert expected == b"P1\n1 1\n1\n"
-            for command in (["render"], ["gen", "--format", "pbm"]):
-                assert cli_pbm(capsys, tmp_path, *command, "--base", str(m), "--depth", "0") \
-                    == expected, (command, m)
 
     def test_builds_no_prefractal(self, capsys, tmp_path, monkeypatch):
         def no_set(*args):
