@@ -23,8 +23,9 @@ def _modules(names=_SUBMODULES):
 def __getattr__(name):
     if name == "__all__":
         return sorted({n for module in _modules() for n in module.__all__})
-    # a submodule name must fail at once: the import system probes it before loading
-    if name not in _SUBMODULES and name not in ("cli", "certify"):
+    # a submodule name must fail at once: the import system probes it before loading;
+    # so must a "_" name, as no __all__ holds one (hasattr(trihex, "__wrapped__"), doctest)
+    if name not in _SUBMODULES and name not in ("cli", "certify") and not name.startswith("_"):
         for module in _modules((*_SUBMODULES, "certify")):
             if name in module.__all__:
                 return getattr(module, name)

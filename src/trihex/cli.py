@@ -21,7 +21,6 @@ import io
 import os
 import re
 import sys
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
@@ -30,7 +29,6 @@ from .radix import (
     _rational,
     add,
     carry_free,
-    digits_to_rational,
     format_numeral,
     int_to_digits,
     parse_numeral,
@@ -91,7 +89,7 @@ def _cmd_convert(args) -> int:
     elif args.base is not None or args.balance is not None:
         raise _UsageError("convert --x takes no --base or --balance; the numeral names its base")
     else:
-        print(digits_to_rational(parse_numeral(args.x)))
+        print(parse_numeral(args.x).value())
     return 0
 
 
@@ -122,21 +120,10 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .fractal import _json_chunks, _rows, _square_blocks, ifs_prefractal
-    from .render import _set_pbm_chunks, _svg_chunks
+    from .render import _set_chunks
 
     system = DigitSystem(args.base, args.balance)
-    if args.format == "pbm":  # the digit route's rows, with no Prefractal
-        _emit(_set_pbm_chunks(system, args.depth, args.max_squares), args.out)
-        return 0
-    p = ifs_prefractal(system, args.depth, args.max_squares)
-    if args.format == "json":
-        chunks = chain(_json_chunks(p), [b"\n"])
-    elif args.format == "text":
-        chunks = (_rows(b"%d %d\n", i, j) for i, j in _square_blocks(p))
-    else:
-        chunks = _svg_chunks(p)
-    _emit(chunks, args.out)
+    _emit(_set_chunks(system, args.depth, args.max_squares, args.format), args.out)
     return 0
 
 

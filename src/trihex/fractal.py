@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import chain, product
+from itertools import chain, product, zip_longest
 from typing import Iterator
 
 import numpy as np
@@ -362,23 +362,20 @@ def _matches_digit_route(system: DigitSystem, n: int,
                          max_squares: int | None) -> tuple[bool, int, int]:
     """(the two routes give the same cells, the geometric count, the digit count).
 
-    One block mask of each route at a time.  The digit route is called
-    first, so its gates (_gate, then the scan cap) run before either route
-    builds.  Each pair is counted, then compared in place: the geometric
-    block is overwritten with the XOR of the two, as its route refills it
-    at the next pull anyway.
+    The digit route is called first, so its gates (_gate, the scan cap) run
+    before either route builds.  zip_longest pairs the routes' block masks,
+    a short stream read as (); each pair is counted, then XORed in place
+    into the geometric block.  Each route yields one reused buffer, so the
+    pair that zip_longest's result tuple holds while the next pair is built
+    is those same two buffers: no extra pair is kept.
     """
-    same, counts, end = True, [0, 0], ()
-    digits = iter(_digit_blocks(system, n, max_squares))
-    geometrics = iter(_geometric_blocks(system, n))
-    while True:
-        digit, geometric = next(digits, end), next(geometrics, end)  # a shorter stream reads ()
-        if digit is end and geometric is end:
-            return same, *map(int, counts)
-        counts[0] += np.count_nonzero(geometric)  # counted past a difference, for MISMATCH
-        counts[1] += np.count_nonzero(digit)
+    same, counts = True, np.zeros(2, np.int64)  # geometric, digit
+    for digit, geometric in zip_longest(_digit_blocks(system, n, max_squares),
+                                        _geometric_blocks(system, n), fillvalue=()):
+        counts += np.count_nonzero(geometric), np.count_nonzero(digit)  # past a difference too
         same = same and np.shape(geometric) == np.shape(digit) and not (
             np.logical_xor(geometric, digit, out=geometric).any())
+    return same, *counts.tolist()
 
 
 def equivalence_check(system: DigitSystem, n: int,

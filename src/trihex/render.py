@@ -4,8 +4,8 @@ One pixel or one unit rect per grid cell, nothing resampled: prefractals
 are exactly grid-aligned, so any other policy would lose exactness.
 Row 0 of a raster is the top of the image (largest j), keeping +y up.
 The PBM of a constructed set (`render`, `gen --format pbm`) streams the
-digit route's rows (_set_pbm_chunks), with no Prefractal and no bitmap;
-rasterize and write_pbm serve library sets.
+digit route's rows, with no Prefractal and no bitmap; rasterize and
+write_pbm serve library sets.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator
 
+from . import fractal  # before numpy: with no .pyc, compiling it after numpy raises peak RSS
+
 import numpy as np
 
-from . import fractal
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .fractal import Prefractal, _rows, _square_blocks
 from .radix import DigitSystem, _Record
@@ -83,18 +84,24 @@ def write_pbm(bitmap) -> bytes:
     return b"".join(_pbm(w, h, [bitmap]))
 
 
-def _set_pbm_chunks(system: DigitSystem, n: int, max_squares: int | None) -> Iterator[bytes]:
-    """write_pbm(rasterize(ifs_prefractal(system, n))[1]) in chunks, with neither built.
+def _set_chunks(system: DigitSystem, n: int, max_squares: int | None, fmt: str) -> Iterator[bytes]:
+    """The ASCII chunks of `gen` or `render` in format fmt; every gate runs before the return.
 
-    The set's box is the whole index_bounds square, W = m^n cells a side:
-    digits all -b, or all m-1-b, on i or on j, pair with j or i of digits
-    all 0.  PBM row r is j = hi - r over i = lo ... hi, the column W-1-r
-    of the digit route's Kronecker power; its rule is symmetric, so that
-    is row W-1-r, and the top_down blocks are the PBM rows in order.  The
-    gates (_gate, then the digit scan cap) run here, before any chunk.
+    PBM is write_pbm(rasterize(ifs_prefractal(system, n))[1]), neither
+    built.  Its box is all of index_bounds, W = m^n a side (digits all -b
+    or all m-1-b pair with digits all 0), and PBM row r, j = hi - r, is
+    column W-1-r of the digit route's Kronecker power, or by its symmetric
+    rule row W-1-r: the top_down blocks.  The rest read ifs_prefractal.
     """
-    blocks = fractal._digit_blocks(system, n, max_squares, top_down=True)
-    return _pbm(system.m**n, system.m**n, blocks)
+    if fmt == "pbm":  # the gates (_gate, then the digit scan cap) run before m^n is computed
+        blocks = fractal._digit_blocks(system, n, max_squares, top_down=True)
+        return _pbm(system.m**n, system.m**n, blocks)
+    p = fractal.ifs_prefractal(system, n, max_squares)
+    if fmt == "json":
+        return chain(fractal._json_chunks(p), [b"\n"])
+    if fmt == "text":
+        return (_rows(b"%d %d\n", i, j) for i, j in _square_blocks(p))
+    return _svg_chunks(p)
 
 
 def _svg_chunks(p: Prefractal) -> Iterator[bytes]:

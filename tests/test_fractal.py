@@ -508,6 +508,22 @@ class TestDigitConstruction:
         assert fractal._matches_digit_route(DigitSystem(2, 0), 2, None) == (False, 9, 9)
         assert not equivalence_check(DigitSystem(2, 0), 2)
 
+    @pytest.mark.parametrize("route, edit, expected", [
+        ("_geometric_blocks", lambda blocks: blocks[:-1], (False, 8, 9)),
+        ("_digit_blocks", lambda blocks: blocks[:-1], (False, 9, 8)),
+        ("_geometric_blocks", lambda blocks: [blocks[0], blocks[1][:, :2], *blocks[2:]],
+         (False, 8, 9)),
+        ("_geometric_blocks", lambda blocks: [blocks[0], blocks[1].T, *blocks[2:]], (False, 9, 9)),
+        ("_geometric_blocks", lambda blocks: [], (False, 0, 9)),
+    ], ids=["geometric one block short", "digit one block short", "geometric block 1 cut",
+            "geometric block 1 transposed", "geometric empty"])
+    def test_comparator_edge_streams(self, monkeypatch, route, edit, expected):
+        # a short stream is filled with (), and a block of another shape is a difference
+        monkeypatch.setattr(fractal, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
+        blocks = getattr(fractal, route)
+        monkeypatch.setattr(fractal, route, lambda *args: edit([b.copy() for b in blocks(*args)]))
+        assert fractal._matches_digit_route(DigitSystem(2, 0), 2, None) == expected
+
 
 class TestNesting:
     def test_floor_division_nesting_standard_base(self):

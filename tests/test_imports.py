@@ -13,6 +13,15 @@ from trihex.cli import run
 
 SUBMODULES = ("errors", "radix", "membership", "fractal", "dimension", "render", "cli")
 
+
+def _guard_lines(code: str) -> list[str]:
+    """The lines that code prints in a fresh interpreter, with this trihex on its path."""
+    src = str(Path(trihex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout.splitlines()
+
+
 NUMPY_GUARD = """
 import contextlib, io, sys, trihex
 print("submodules after import trihex:", sorted(m for m in sys.modules if m.startswith("trihex.")))
@@ -46,11 +55,7 @@ print("dataclasses, inspect after gen:", "dataclasses" in sys.modules, "inspect"
 
 
 def test_numeral_and_member_commands_run_without_numpy():
-    src = str(Path(trihex.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", NUMPY_GUARD], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
-    assert out.splitlines() == [
+    assert _guard_lines(NUMPY_GUARD) == [
         "submodules after import trihex: []",
         "hasattr before import: False False",
         "numpy after numpy-free names and cli: False",
@@ -64,6 +69,24 @@ def test_numeral_and_member_commands_run_without_numpy():
         "numpy after Prefractal: True",
         "numpy after gen: True",  # gen does load it, so the check above is not vacuous
         "dataclasses, inspect after gen: False True",  # numpy loads inspect; no trihex module
+    ]
+
+
+DUNDER_GUARD = """
+import sys, trihex
+print("dunder probes:", hasattr(trihex, "__wrapped__"), getattr(trihex, "__test__", {}))
+print("numpy after them:", "numpy" in sys.modules)
+print("missing public name:", hasattr(trihex, "nosuch"))
+print("numpy after it:", "numpy" in sys.modules)
+"""
+
+
+def test_underscore_names_fail_before_any_import():
+    assert _guard_lines(DUNDER_GUARD) == [
+        "dunder probes: False {}",
+        "numpy after them: False",
+        "missing public name: False",
+        "numpy after it: True",  # only every __all__ read shows a name is missing
     ]
 
 
@@ -88,11 +111,7 @@ for argv in commands:
 
 
 def test_square_set_and_numeral_commands_load_neither_json_nor_fractions():
-    src = str(Path(trihex.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", STDLIB_GUARD], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
-    assert out.splitlines() == [
+    assert _guard_lines(STDLIB_GUARD) == [
         "verify False False", "dim False False", "gen False False", "convert False False",
         "add False False", "carryfree False False",
         "convert False True",  # convert --x builds a Fraction

@@ -229,14 +229,16 @@ class TestPbmStream:
                 assert m ** (2 * n) <= 32 * DEFAULT_MAX_SQUARES, (m, n)
                 n += 1
 
-    def test_refused_render_leaves_the_out_file(self, capsys, tmp_path):
-        target = tmp_path / "kept.pbm"
+    @pytest.mark.parametrize("command", [
+        *(["gen", "--format", f] for f in ("json", "text", "svg", "pbm")),
+        *(["render", "--format", f] for f in ("pbm", "svg")),
+    ], ids=" ".join)
+    def test_refused_render_leaves_the_out_file(self, capsys, tmp_path, command):
+        # every format runs its gates before --out is opened
+        target = tmp_path / "kept.out"
         target.write_bytes(b"old bytes")
-        for cap in ("1000", "1594323"):  # the square cap, then the scan cap
-            argv = ["render", "--base", "2", "--depth", "13", "--max-squares", cap,
-                    "--out", str(target)]
-            assert run(argv) == 1
+        caps = ("1000", "1594323") if "pbm" in command else ("1000",)  # square, then scan cap
+        for flags in (*(["--depth", "13", "--max-squares", cap] for cap in caps), ["--depth", "40"]):
+            assert run([*command, "--base", "2", *flags, "--out", str(target)]) == 1, flags
             assert capsys.readouterr().err.startswith("error:")
             assert target.read_bytes() == b"old bytes"
-        assert run(["render", "--base", "2", "--depth", "40", "--out", str(target)]) == 1
-        assert target.read_bytes() == b"old bytes"
