@@ -25,7 +25,7 @@ def __getattr__(name):
         return sorted({n for module in _modules() for n in module.__all__})
     # a submodule name must fail at once: the import system probes it before loading;
     # so must a "_" name, as no __all__ holds one (hasattr(trihex, "__wrapped__"), doctest)
-    if name not in _SUBMODULES and name not in ("cli", "certify") and not name.startswith("_"):
+    if name not in (*_SUBMODULES, "cli", "certify", "routes") and not name.startswith("_"):
         for module in _modules((*_SUBMODULES, "certify")):
             if name in module.__all__:
                 return getattr(module, name)

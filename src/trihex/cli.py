@@ -5,9 +5,11 @@ the construction equivalence check.
 Exit codes: 0 success, 1 domain/resource/file/memory error or a number past
 Python's int/str digit limit (one-line diagnostic on stderr), 2 usage error.
 
-Only the commands that build square sets (gen, render, verify) import numpy,
-inside their handlers.  The numeral, member and dim commands load neither it
-nor dataclasses nor inspect; dim counts squares by the closed form instead.
+Only gen and render in their JSON, text and SVG formats import numpy,
+inside their handler: verify and PBM (render's default) run on the
+numpy-free trihex.routes, and the numeral, member and dim commands load
+neither numpy nor dataclasses nor inspect; dim counts squares by the
+closed form instead.
 Each handler imports what only it uses, since every command compiles what
 it imports: trihex.membership for member, and json for member --witness.
 fractions is loaded by the first function that builds a Fraction, so only
@@ -120,10 +122,16 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .render import _set_chunks
-
     system = DigitSystem(args.base, args.balance)
-    _emit(_set_chunks(system, args.depth, args.max_squares, args.format), args.out)
+    if args.format == "pbm":  # the digit route's rows, with no numpy
+        from .routes import _pbm_chunks
+
+        chunks = _pbm_chunks(system, args.depth, args.max_squares)
+    else:
+        from .render import _set_chunks
+
+        chunks = _set_chunks(system, args.depth, args.max_squares, args.format)
+    _emit(chunks, args.out)
     return 0
 
 
@@ -137,7 +145,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .fractal import _matches_digit_route
+    from .routes import _matches_digit_route
 
     system = DigitSystem(args.base, args.balance)
     same, geometric, digit = _matches_digit_route(system, args.depth, args.max_squares)

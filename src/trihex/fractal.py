@@ -4,27 +4,26 @@ Two independent constructions of the same square sets are provided: the
 geometric route (each square spawns one child per generator-lattice
 shift) and the digit route (the n-fold Kronecker power of the m x m
 matrix that marks the digit pairs whose sum stays inside the alphabet;
-the flat indices of its set cells are the square keys).  Both stream
-boolean cell masks over the same blocks of scan rows, each route in one
-reused buffer, and `equivalence_check` compares them a block of each
-route at a time, in place, with no key array on either side; the
-geometric stream also holds P_(n-k), the whole set when a block is one
-row (see _geometric_blocks).  Read last row first, the digit route's
-rows are also the PBM rows that `render` streams (see trihex.render).  The
-membership decisions live in the numpy-free `trihex.membership` and
+the flat indices of its set cells are the square keys).  Here a square
+set is a `Prefractal` of sorted int64 keys, which `gen`'s JSON, text and
+SVG read; the numpy-free `trihex.routes` streams both routes as Python-int
+bit blocks, which `equivalence_check` compares a block of each at a time
+and `prefractal_by_digits` reads back into keys.  The membership
+decisions live in the numpy-free `trihex.membership` and
 `trihex.automaton`; no square-set command compiles them.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
-from itertools import chain, product, zip_longest
+from itertools import chain
 from typing import Iterator
+
+from . import routes  # before numpy: with no .pyc, compiling it after numpy raises peak RSS
 
 import numpy as np
 
-from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
+from .errors import DEFAULT_MAX_SQUARES, DomainError
 from .radix import (DigitSystem, _cap, _gate, _key_frame, _rational, _Record, index_bounds,
                     lattice_cardinality)
 
@@ -84,16 +83,7 @@ class GeneratorLattice(_Record):
 def lattice(m: int, b: int = 0) -> GeneratorLattice:
     """Enumerate the generator lattice for the (m, b) digit system."""
     system = DigitSystem(m, b)
-    lo, hi = system.min_digit, system.max_digit
-    # for each k the valid h form one range, so the pairs come out sorted
-    pts = tuple((k, h) for k in range(lo, hi + 1)
-                for h in range(max(lo, lo - k), min(hi, hi - k) + 1))
-    return GeneratorLattice(system, pts)
-
-
-_BLOCK = 65536  # squares per writer chunk, so a writer's memory does not grow with its output
-_SCAN_CELLS = 2**18  # cells per block of either route, so verify holds about one block of each
-_SCAN_RATIO = 32  # cells the digit scan may visit per square of the cap
+    return GeneratorLattice(system, routes._lattice_points(system))
 
 
 def _field(v: np.ndarray) -> np.ndarray:
@@ -227,8 +217,8 @@ class Prefractal:
 def _square_blocks(p: Prefractal) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The (i, j) columns of p's squares in key order, _BLOCK squares at a time."""
     lo, width = _key_frame(p.system, p.depth)
-    for start in range(0, len(p), _BLOCK):
-        i, j = np.divmod(p._keys[start : start + _BLOCK], width)
+    for start in range(0, len(p), routes._BLOCK):
+        i, j = np.divmod(p._keys[start : start + routes._BLOCK], width)
         yield i + lo, j + lo
 
 
@@ -261,42 +251,6 @@ def iterate(p: Prefractal, lat: GeneratorLattice,
     return Prefractal._from_keys(p.system, p.depth + 1, keys)
 
 
-def _low_digits(system: DigitSystem, n: int) -> int:
-    """k, the low digits per block: a block of m^k rows holds <= _SCAN_CELLS cells, or one row."""
-    m, k = system.m, 0
-    while k < n and m ** (k + 1) * m**n <= _SCAN_CELLS:
-        k += 1
-    return k
-
-
-def _geometric_blocks(system: DigitSystem, n: int) -> Iterator[np.ndarray]:
-    """The geometric route's cell masks, in the row blocks of _digit_blocks; after _gate.
-
-    P_n is P_d stacked on P_k, k = _low_digits and d = n - k: each square
-    (I, J) of P_d puts its digits on top of every square of P_k.  Both are
-    built by ifs_prefractal.  Block I covers the m^k rows from I * m^k on,
-    as the digit route's block I does; it is P_k's m^k x m^k mask copied
-    under each top J of column I of P_d, as an m^k x W mask.  P_d is held
-    throughout, and at k = 0 it is P_n: building a column from the digits
-    of its index instead would be the digit rule again, and the two routes
-    would stop being independent.  Every block is one buffer, cleared and
-    refilled at each step: a yielded block is valid only until the next pull.
-    """
-    k = _low_digits(system, n)
-    s, columns = system.m**k, system.m ** (n - k)
-    # no cap, and the depth gates cannot fail: _gate has passed for depth n >= k, n - k
-    low, top = ifs_prefractal(system, k, None), ifs_prefractal(system, n - k, None)
-    low_mask = np.zeros(s * s, bool)
-    low_mask[low._keys] = True
-    low_mask = low_mask.reshape(s, 1, s)  # the low digits of i, one top, the low digits of j
-    ends = np.searchsorted(top._keys, np.arange(columns + 1) * columns)  # top key I*columns + J
-    mask = np.empty((s, columns, s), bool)
-    for c in range(columns):
-        mask.fill(False)
-        mask[:, top._keys[ends[c] : ends[c + 1]] - c * columns, :] = low_mask
-        yield mask.reshape(s, -1)  # cell (i, J*s + j) of the block: key (c*s + i)*W + J*s + j
-
-
 def ifs_prefractal(system: DigitSystem, n: int,
                    max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
     """Iterate the unit square n times through the generator lattice, gated before any square."""
@@ -309,79 +263,26 @@ def ifs_prefractal(system: DigitSystem, n: int,
     return p
 
 
-def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None,
-                  top_down: bool = False) -> Iterator[np.ndarray]:
-    """The digit route's cell masks, in blocks of whole scan rows of <= _SCAN_CELLS cells.
-
-    On digits shifted by b into [0, m-1] the rule is one m x m boolean
-    matrix, A[u, v] = (b <= u + v <= m-1+b).  The kept cells (i - lo, j - lo)
-    are those of the n-fold Kronecker power of A, and a cell's flat index
-    in that W x W power is the square key.  Block p is the m^k x W slice of
-    rows from p * m^k on: kron(row p of the (n-k)-fold power, the k-fold
-    power).  Row p is the outer product of A's rows at p's n-k base-m
-    digits, which itertools.product yields in row order, so neither the
-    whole power nor its top factor is ever built.  top_down yields the rows
-    in reverse order, row W-1 first, from A[::-1]: reversing A's rows
-    reverses every base-m digit of a row index, so the power of A[::-1]
-    holds row i of A's power at row W-1-i.
-    The gates (_gate, then the scan cap) run at the call, before any
-    block; all W^2 cells are then scanned, a block at a time, independently
-    of the geometric route.  Every block is written into one buffer: a
-    yielded block is valid only until the next pull.
-    """
-    _, width = _gate(system, n, max_squares)
-    if max_squares is not None and width * width > _SCAN_RATIO * max_squares:
-        raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
-    if not n:  # the one cell of the empty power; no m x m rule, however large the base
-        return iter([np.ones((1, 1), bool)])
-    m, b, u = system.m, system.b, np.arange(system.m)
-    rule = (u >= b - u[:, None]) & (u <= m - 1 + b - u[:, None])  # b <= u + v <= m-1+b
-    rule = rule[::-1] if top_down else rule
-    k = _low_digits(system, n)
-    low = reduce(np.kron, [rule] * k, np.ones((1, 1), bool))
-    block = np.empty((m**k, m ** (n - k), m**k), bool)  # cell (i, J, j) is top[J] and low[i, j]
-
-    def blocks():
-        for rows in product(rule, repeat=n - k):
-            top = reduce(np.multiply.outer, rows, np.ones(1, bool)).reshape(-1)  # row p, on top
-            yield np.multiply(low[:, None, :], top[:, None], out=block).reshape(m**k, -1)
-
-    return blocks()
+def _set_bits(block: int, size: int) -> np.ndarray:
+    """The indices of the set bits of a block of `size` bits, ascending, as int64."""
+    data = np.frombuffer(block.to_bytes(-(-size // 8), "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(data, bitorder="little"))
 
 
 def prefractal_by_digits(system: DigitSystem, n: int,
                          max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
-    """Depth-n squares selected by the digit condition alone (see _digit_blocks)."""
-    # block p, rows from p * m^k on, starts at key p * m^k * W, above every key of block p - 1
-    keys = [np.flatnonzero(mask) + p * mask.size
-            for p, mask in enumerate(_digit_blocks(system, n, max_squares))]
+    """Depth-n squares selected by the digit condition alone (see routes._digit_blocks)."""
+    blocks = routes._digit_blocks(system, n, max_squares)  # the gates run here
+    size = system.m ** (n + routes._low_digits(system, n))  # cells per block
+    # bit t of block p is key p * size + t, above every key of block p - 1
+    keys = [_set_bits(block, size) + p * size for p, block in enumerate(blocks)]
     return Prefractal._from_keys(system, n, np.concatenate(keys))
-
-
-def _matches_digit_route(system: DigitSystem, n: int,
-                         max_squares: int | None) -> tuple[bool, int, int]:
-    """(the two routes give the same cells, the geometric count, the digit count).
-
-    The digit route is called first, so its gates (_gate, the scan cap) run
-    before either route builds.  zip_longest pairs the routes' block masks,
-    a short stream read as (); each pair is counted, then XORed in place
-    into the geometric block.  Each route yields one reused buffer, so the
-    pair that zip_longest's result tuple holds while the next pair is built
-    is those same two buffers: no extra pair is kept.
-    """
-    same, counts = True, np.zeros(2, np.int64)  # geometric, digit
-    for digit, geometric in zip_longest(_digit_blocks(system, n, max_squares),
-                                        _geometric_blocks(system, n), fillvalue=()):
-        counts += np.count_nonzero(geometric), np.count_nonzero(digit)  # past a difference too
-        same = same and np.shape(geometric) == np.shape(digit) and not (
-            np.logical_xor(geometric, digit, out=geometric).any())
-    return same, *counts.tolist()
 
 
 def equivalence_check(system: DigitSystem, n: int,
                       max_squares: int | None = DEFAULT_MAX_SQUARES) -> bool:
     """Whether the geometric and digit constructions give the same squares."""
-    return _matches_digit_route(system, n, max_squares)[0]
+    return routes._matches_digit_route(system, n, max_squares)[0]
 
 
 def covers_point(p: Prefractal, x, y) -> bool:

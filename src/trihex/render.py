@@ -3,15 +3,16 @@
 One pixel or one unit rect per grid cell, nothing resampled: prefractals
 are exactly grid-aligned, so any other policy would lose exactness.
 Row 0 of a raster is the top of the image (largest j), keeping +y up.
-The PBM of a constructed set (`render`, `gen --format pbm`) streams the
-digit route's rows, with no Prefractal and no bitmap; rasterize and
-write_pbm serve library sets.
+The PBM of a constructed set (`render`, `gen --format pbm`) is the
+numpy-free `trihex.routes._pbm_chunks`, which streams the digit route's
+rows with no Prefractal and no bitmap; rasterize and write_pbm serve
+library sets, and write_pbm feeds the same PBM formatter.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import fractal  # before numpy: with no .pyc, compiling it after numpy raises peak RSS
 
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .fractal import Prefractal, _rows, _square_blocks
 from .radix import DigitSystem, _Record
+from .routes import _SCAN_RATIO, _pbm
 
 __all__ = ["RasterSpec", "rasterize", "write_pbm", "write_svg"]
 
@@ -46,7 +48,7 @@ def rasterize(p: Prefractal) -> tuple[RasterSpec, np.ndarray]:
     ResourceError, before the bitmap is allocated, past _SCAN_RATIO * DEFAULT_MAX_SQUARES
     pixels: the cells that the PBM stream of `render` scans at the default cap.
     """
-    spec, cap = _bounding_box(p), fractal._SCAN_RATIO * DEFAULT_MAX_SQUARES
+    spec, cap = _bounding_box(p), _SCAN_RATIO * DEFAULT_MAX_SQUARES
     if spec.width * spec.height > cap:
         raise ResourceError(f"raster of {spec.width} x {spec.height} pixels exceeds the cap {cap}")
     i_min, j_min = spec.origin
@@ -54,22 +56,6 @@ def rasterize(p: Prefractal) -> tuple[RasterSpec, np.ndarray]:
     for i, j in _square_blocks(p):
         bitmap[j_min + spec.height - 1 - j, i - i_min] = 1
     return spec, bitmap
-
-
-def _pbm_rows(bitmap: np.ndarray) -> bytes:
-    """Each row as w digits and w - 1 spaces, then a newline (alone when w = 0)."""
-    h, w = bitmap.shape
-    rows = np.full((h, max(2 * w, 1)), ord(" "), dtype=np.uint8)
-    rows[:, :-1:2] = bitmap.astype(bool) + np.uint8(ord("0"))  # bool(v), also for objects
-    rows[:, -1] = ord("\n")
-    return rows.tobytes()
-
-
-def _pbm(width: int, height: int, blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
-    """The one PBM path: the header, then blocks of bitmap rows, about _BLOCK pixels a chunk."""
-    step = max(1, fractal._BLOCK // max(width, 1))
-    body = (_pbm_rows(block[r : r + step]) for block in blocks for r in range(0, len(block), step))
-    return chain([f"P1\n{width} {height}\n".encode("ascii")], body)
 
 
 def write_pbm(bitmap) -> bytes:
@@ -81,21 +67,17 @@ def write_pbm(bitmap) -> bytes:
     if bitmap.ndim != 2:
         raise DomainError("bitmap must be two-dimensional")
     h, w = bitmap.shape
-    return b"".join(_pbm(w, h, [bitmap]))
+    # one block of h rows: pixel (r, c) is bit r * w + c of the packed bytes, read little-endian;
+    # astype(bool) is bool(v), also for objects
+    packed = np.packbits(bitmap.astype(bool), axis=None, bitorder="little")
+    return b"".join(_pbm(w, h, [int.from_bytes(packed, "little")], h))
 
 
 def _set_chunks(system: DigitSystem, n: int, max_squares: int | None, fmt: str) -> Iterator[bytes]:
-    """The ASCII chunks of `gen` or `render` in format fmt; every gate runs before the return.
+    """The ASCII chunks of `gen` or `render` in format fmt: JSON, text or SVG of ifs_prefractal.
 
-    PBM is write_pbm(rasterize(ifs_prefractal(system, n))[1]), neither
-    built.  Its box is all of index_bounds, W = m^n a side (digits all -b
-    or all m-1-b pair with digits all 0), and PBM row r, j = hi - r, is
-    column W-1-r of the digit route's Kronecker power, or by its symmetric
-    rule row W-1-r: the top_down blocks.  The rest read ifs_prefractal.
+    Every gate runs before the return.  PBM is routes._pbm_chunks.
     """
-    if fmt == "pbm":  # the gates (_gate, then the digit scan cap) run before m^n is computed
-        blocks = fractal._digit_blocks(system, n, max_squares, top_down=True)
-        return _pbm(system.m**n, system.m**n, blocks)
     p = fractal.ifs_prefractal(system, n, max_squares)
     if fmt == "json":
         return chain(fractal._json_chunks(p), [b"\n"])

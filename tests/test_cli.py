@@ -4,11 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import trihex
-from trihex import prefractal_from_json, ifs_prefractal, DigitSystem, fractal
+from trihex import prefractal_from_json, ifs_prefractal, DigitSystem, fractal, routes
 from trihex.cli import run
 
 
@@ -219,21 +218,24 @@ class TestVerify:
         assert err == "error: depth 9 needs 19683 squares, over the cap 1000\n"
 
     @staticmethod
-    def drop_first_cell(mask):
-        """A copy of a block's cell mask without its first set cell."""
-        mask = mask.copy()
-        mask.flat[np.flatnonzero(mask)[0]] = False
-        return mask
+    def drop_first_cell(block):
+        """A block without its first set cell, the lowest set bit."""
+        return block & (block - 1)
+
+    @staticmethod
+    def keys(blocks):
+        """The keys of the 4-cell blocks (one row of the 4 x 4 frame each), block by block."""
+        return [[p * 4 + t for t in range(4) if block >> t & 1] for p, block in enumerate(blocks)]
 
     @staticmethod
     def edit_digit_blocks(monkeypatch, edit):
-        """Make verify compare against the digit route's block masks as edited."""
-        blocks = fractal._digit_blocks
+        """Make verify compare against the digit route's blocks as edited."""
+        blocks = routes._digit_blocks
 
         def edited(system, n, max_squares):
-            return edit([b.copy() for b in blocks(system, n, max_squares)])
+            return edit(list(blocks(system, n, max_squares)))
 
-        monkeypatch.setattr(fractal, "_digit_blocks", edited)
+        monkeypatch.setattr(routes, "_digit_blocks", edited)
 
     def test_mismatch_line(self, capsys, monkeypatch):
         self.edit_digit_blocks(monkeypatch,
@@ -243,23 +245,17 @@ class TestVerify:
         assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 8 digit squares)\n"
 
     def test_mismatch_line_extra_key_after_the_last_block(self, capsys, monkeypatch):
-        def one_cell_block(mask):
-            extra = np.zeros_like(mask)
-            extra.flat[0] = True
-            return extra
-
-        self.edit_digit_blocks(monkeypatch, lambda blocks: [*blocks, one_cell_block(blocks[-1])])
+        self.edit_digit_blocks(monkeypatch, lambda blocks: [*blocks, 1])  # cell 0 of one more
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
         assert (code, out) == (1, "")
         assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 10 digit squares)\n"
 
     def test_mismatch_line_key_changed_in_a_middle_block(self, capsys, monkeypatch):
-        monkeypatch.setattr(fractal, "_SCAN_CELLS", 4)  # one row of the 4 x 4 scan per block
+        monkeypatch.setattr(routes, "_SCAN_CELLS", 4)  # one row of the 4 x 4 scan per block
 
         def shift_last_key_of_block_one(blocks):
-            keys = [(np.flatnonzero(b) + p * b.size).tolist() for p, b in enumerate(blocks)]
-            assert keys == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
-            return [blocks[0], np.array([[1, 0, 0, 1]], bool), *blocks[2:]]  # keys 4 and 7
+            assert self.keys(blocks) == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
+            return [blocks[0], 0b1001, *blocks[2:]]  # keys 4 and 7
 
         self.edit_digit_blocks(monkeypatch, shift_last_key_of_block_one)
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
@@ -267,16 +263,15 @@ class TestVerify:
         assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 9 digit squares)\n"
 
     def test_mismatch_line_key_dropped_from_a_middle_geometric_block(self, capsys, monkeypatch):
-        monkeypatch.setattr(fractal, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
-        blocks = fractal._geometric_blocks
+        monkeypatch.setattr(routes, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
+        blocks = routes._geometric_blocks
 
         def drop_first_key_of_block_one(system, n):
-            got = [b.copy() for b in blocks(system, n)]
-            keys = [(np.flatnonzero(b) + p * b.size).tolist() for p, b in enumerate(got)]
-            assert keys == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
+            got = list(blocks(system, n))
+            assert self.keys(got) == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
             return [got[0], self.drop_first_cell(got[1]), *got[2:]]
 
-        monkeypatch.setattr(fractal, "_geometric_blocks", drop_first_key_of_block_one)
+        monkeypatch.setattr(routes, "_geometric_blocks", drop_first_key_of_block_one)
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
         assert (code, out) == (1, "")
         assert err == "equivalence: MISMATCH at depth 2 (8 geometric vs 9 digit squares)\n"

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import legal_systems
+from conftest import block_keys, legal_systems
 
 from trihex import (
     DigitSystem,
@@ -33,6 +33,7 @@ from trihex import (
     prefractal_to_json,
     radix,
     rasterize,
+    routes,
     unit_square,
     write_svg,
 )
@@ -400,129 +401,139 @@ class TestDigitConstruction:
     @pytest.mark.parametrize("cells", [1, 5, 13, 50, 300])
     def test_small_blocks_stream_the_same_keys(self, cells, monkeypatch):
         # one-row blocks, and blocks of m^k rows that stop inside a group of the top digits
-        monkeypatch.setattr(fractal, "_SCAN_CELLS", cells)
+        monkeypatch.setattr(routes, "_SCAN_CELLS", cells)
         for system in legal_systems(7):
             for n in range(4 if system.m < 7 else 3):
                 width = system.m**n
-                blocks = [b.copy() for b in fractal._digit_blocks(system, n, None)]
-                rows = blocks[0].shape[0]  # whole scan rows, the same number in every block
-                assert all(b.shape == (rows, width) for b in blocks), (system, n, cells)
+                blocks = list(routes._digit_blocks(system, n, None))
+                rows = system.m ** routes._low_digits(system, n)  # whole scan rows, in every block
                 assert rows * len(blocks) == width and rows * width <= max(cells, width)
-                keys = np.flatnonzero(np.concatenate(blocks))  # the W x W scan, row by row
+                keys = block_keys(blocks, rows * width)  # the W x W scan, row by row
                 assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n, cells)
                 assert np.array_equal(keys, ifs_prefractal(system, n)._keys), (system, n, cells)
                 assert equivalence_check(system, n), (system, n, cells)
 
     @pytest.mark.parametrize("cells", [1, 5, 13, 50, 300])
     def test_small_blocks_of_the_geometric_route(self, cells, monkeypatch):
-        monkeypatch.setattr(fractal, "_SCAN_CELLS", cells)
+        monkeypatch.setattr(routes, "_SCAN_CELLS", cells)
         for system in legal_systems(7):
             for n in range(4):
-                blocks = [b.copy() for b in fractal._geometric_blocks(system, n)]
-                digit_blocks = [b.copy() for b in fractal._digit_blocks(system, n, None)]
+                blocks = list(routes._geometric_blocks(system, n))
+                digit_blocks = list(routes._digit_blocks(system, n, None))
                 assert len(blocks) == len(digit_blocks), (system, n, cells)
-                for block, digit_block in zip(blocks, digit_blocks):
-                    assert block.dtype == bool, (system, n, cells)
-                    # the same rows of i - lo, each over every j - lo
-                    assert block.shape == digit_block.shape, (system, n)
-                keys = np.flatnonzero(np.concatenate(blocks))
+                # the same rows of i - lo, each over every j - lo
+                size = system.m ** (n + routes._low_digits(system, n))
+                keys = block_keys(blocks, size)
                 assert np.array_equal(keys, ifs_prefractal(system, n)._keys), (system, n)
                 assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n)
+
+    def test_both_routes_give_the_keys_of_ifs_prefractal(self):
+        # verify runs no ifs_prefractal, so gen's construction is tied to both int streams here
+        cases = [(system, n) for system in legal_systems(7) for n in range(17)
+                 if lattice_cardinality(system.m, system.b) ** n <= 2 * 10**5]
+        cases += [(DigitSystem(600, 0), 1), (DigitSystem(515, 257), 1)]
+        for system, n in cases:
+            size = system.m ** (n + routes._low_digits(system, n))
+            keys = ifs_prefractal(system, n)._keys
+            geometric = block_keys(routes._geometric_blocks(system, n), size)
+            assert np.array_equal(geometric, keys), (system, n)
+            digit = block_keys(routes._digit_blocks(system, n, None), size)
+            assert np.array_equal(digit, keys), (system, n)
 
     @pytest.mark.parametrize("system", [DigitSystem(600, 0), DigitSystem(515, 257)], ids=str)
     def test_one_row_blocks_at_the_default_size(self, system):
         # m rows of m cells are over _SCAN_CELLS, so k = 0 and P_(n-k) is the whole of P_1
-        assert system.m**2 > fractal._SCAN_CELLS and fractal._low_digits(system, 1) == 0
-        blocks = [b.copy() for b in fractal._geometric_blocks(system, 1)]
-        assert len(blocks) == system.m and all(b.shape == (1, system.m) for b in blocks)
-        cells = np.concatenate(blocks)
-        assert np.array_equal(np.flatnonzero(cells), ifs_prefractal(system, 1)._keys)
-        digit_blocks = [b.copy() for b in fractal._digit_blocks(system, 1, None)]
-        assert np.array_equal(cells, np.concatenate(digit_blocks))
+        assert system.m**2 > routes._SCAN_CELLS and routes._low_digits(system, 1) == 0
+        blocks = list(routes._geometric_blocks(system, 1))
+        assert len(blocks) == system.m
+        keys = block_keys(blocks, system.m)  # and each block is one row of m cells
+        assert np.array_equal(keys, ifs_prefractal(system, 1)._keys)
+        assert list(routes._digit_blocks(system, 1, None)) == blocks
         assert equivalence_check(system, 1)
 
     @pytest.mark.parametrize("cells", [1, 5, 13, 50, 300])
     def test_mask_comparator_against_the_references(self, cells, monkeypatch):
-        monkeypatch.setattr(fractal, "_SCAN_CELLS", cells)
-        digit_blocks, rng = fractal._digit_blocks, random.Random(cells)
+        monkeypatch.setattr(routes, "_SCAN_CELLS", cells)
+        digit_blocks, rng = routes._digit_blocks, random.Random(cells)
         for system in legal_systems(7):
             for n in range(4):
                 geometric, scan = ifs_prefractal(system, n), scan_reference(system, n)
                 expected = (geometric == scan, len(geometric), len(scan))
-                assert fractal._matches_digit_route(system, n, None) == expected, (system, n)
+                assert routes._matches_digit_route(system, n, None) == expected, (system, n)
 
                 # one cell of the scan flipped: the verdict turns, and the digit count moves by 1
                 cell = rng.randrange(system.m ** (2 * n))
+                size = system.m ** (n + routes._low_digits(system, n))
 
-                def flipped(system, n, max_squares, cell=cell):
-                    for p, mask in enumerate(digit_blocks(system, n, max_squares)):
-                        if p == cell // mask.size:
-                            mask = mask.copy()
-                            mask.flat[cell % mask.size] ^= True
-                        yield mask
+                def flipped(system, n, max_squares, cell=cell, size=size):
+                    for p, block in enumerate(digit_blocks(system, n, max_squares)):
+                        yield block ^ 1 << cell % size if p == cell // size else block
 
-                monkeypatch.setattr(fractal, "_digit_blocks", flipped)
+                monkeypatch.setattr(routes, "_digit_blocks", flipped)
                 moved = -1 if np.isin(cell, scan._keys) else 1
                 expected = (False, len(geometric), len(scan) + moved)
-                assert fractal._matches_digit_route(system, n, None) == expected, (system, n)
-                monkeypatch.setattr(fractal, "_digit_blocks", digit_blocks)
+                assert routes._matches_digit_route(system, n, None) == expected, (system, n)
+                monkeypatch.setattr(routes, "_digit_blocks", digit_blocks)
 
     @pytest.mark.parametrize("system, n", [(DigitSystem(4, 1), 6), (DigitSystem(2, 0), 12)],
                              ids=str)
     def test_verify_holds_a_few_block_masks(self, system, n):
-        # a byte per cell of a block: the two routes' masks, one pair, compared in place
+        # a bit per cell of a block: one block of each route at a time, and P_(n-k)
         tracemalloc.start()
         try:
-            assert fractal._matches_digit_route(system, n, None)[0]
+            assert routes._matches_digit_route(system, n, None)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * fractal._SCAN_CELLS, peak
+        assert peak < 3 * routes._SCAN_CELLS, peak
 
     def test_digit_stream_builds_the_top_factor_a_row_at_a_time(self):
         # at (65, 0) d2 a block is one scan row (k = 0); the whole m^2 x m^2 top factor,
-        # 17 MiB, was once built before the first block
+        # 17 MiB as bool cells, was once built before the first block
         system, block = DigitSystem(65, 0), 65**2
-        assert fractal._low_digits(system, 2) == 0
-        for _ in fractal._digit_blocks(system, 2, 10**7):  # numpy's first-call allocations
+        assert routes._low_digits(system, 2) == 0
+        for _ in routes._digit_blocks(system, 2, 10**7):  # first-call allocations
             pass
         tracemalloc.start()
         try:
-            rows = sum(1 for _ in fractal._digit_blocks(system, 2, 10**7))
+            rows = sum(1 for _ in routes._digit_blocks(system, 2, 10**7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rows == block
-        # the m x m rule is itself a block here, and numpy's ufunc buffers add a few more
+        # the rule's rows at strides 1 and m, a block of cells each at the top stride
         assert peak < 32 * block, peak
 
     def test_geometric_blocks_out_of_order_rejected(self, monkeypatch):
-        monkeypatch.setattr(fractal, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
-        blocks = fractal._geometric_blocks
+        monkeypatch.setattr(routes, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
+        blocks = routes._geometric_blocks
 
-        def reversed_blocks(system, n):  # every column's cells put in another column's rows
-            return reversed([b.copy() for b in blocks(system, n)])
+        def reversed_blocks(system, n):  # every row's cells put in another row's block
+            return reversed(list(blocks(system, n)))
 
-        # a block mask's rows are its place in the stream, so the comparison sees the swap
-        monkeypatch.setattr(fractal, "_geometric_blocks", reversed_blocks)
-        assert fractal._matches_digit_route(DigitSystem(2, 0), 2, None) == (False, 9, 9)
+        # a block's bits are its place in the stream, so the comparison sees the swap
+        monkeypatch.setattr(routes, "_geometric_blocks", reversed_blocks)
+        assert routes._matches_digit_route(DigitSystem(2, 0), 2, None) == (False, 9, 9)
         assert not equivalence_check(DigitSystem(2, 0), 2)
 
     @pytest.mark.parametrize("route, edit, expected", [
         ("_geometric_blocks", lambda blocks: blocks[:-1], (False, 8, 9)),
         ("_digit_blocks", lambda blocks: blocks[:-1], (False, 9, 8)),
-        ("_geometric_blocks", lambda blocks: [blocks[0], blocks[1][:, :2], *blocks[2:]],
+        ("_geometric_blocks", lambda blocks: [blocks[0], blocks[1] & 0b11, *blocks[2:]],
          (False, 8, 9)),
-        ("_geometric_blocks", lambda blocks: [blocks[0], blocks[1].T, *blocks[2:]], (False, 9, 9)),
+        ("_geometric_blocks",
+         lambda blocks: [blocks[0], sum(1 << 4 * c for c in range(4) if blocks[1] >> c & 1),
+                         *blocks[2:]], (False, 9, 9)),
         ("_geometric_blocks", lambda blocks: [], (False, 0, 9)),
     ], ids=["geometric one block short", "digit one block short", "geometric block 1 cut",
             "geometric block 1 transposed", "geometric empty"])
     def test_comparator_edge_streams(self, monkeypatch, route, edit, expected):
-        # a short stream is filled with (), and a block of another shape is a difference
-        monkeypatch.setattr(fractal, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
-        blocks = getattr(fractal, route)
-        monkeypatch.setattr(fractal, route, lambda *args: edit([b.copy() for b in blocks(*args)]))
-        assert fractal._matches_digit_route(DigitSystem(2, 0), 2, None) == expected
+        # a short stream is read as None, which equals no block; the row cut to its first two
+        # cells, or laid out as a column (cells 0, 4, 8, 12), is a difference
+        monkeypatch.setattr(routes, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
+        blocks = getattr(routes, route)
+        monkeypatch.setattr(routes, route, lambda *args: edit(list(blocks(*args))))
+        assert routes._matches_digit_route(DigitSystem(2, 0), 2, None) == expected
 
 
 class TestNesting:

@@ -45,12 +45,27 @@ print("dataclasses, inspect after them:", "dataclasses" in sys.modules, "inspect
 assert trihex.cli.run(["dim", "--base", "3", "--balance", "1", "--depth", "8"]) == 0
 print("numpy, trihex.fractal after dim:", "numpy" in sys.modules, "trihex.fractal" in sys.modules)
 print("dataclasses, inspect after dim:", "dataclasses" in sys.modules, "inspect" in sys.modules)
-trihex.Prefractal
-print("numpy after Prefractal:", "numpy" in sys.modules)
-with contextlib.redirect_stdout(io.StringIO()):
-    assert trihex.cli.run(["gen", "--base", "2", "--depth", "2", "--format", "text"]) == 0
+square_sets = [
+    ["verify", "--base", "3", "--balance", "1", "--depth", "3"],
+    ["render", "--base", "3", "--balance", "1", "--depth", "3"],
+    ["gen", "--base", "2", "--depth", "2", "--format", "pbm"],
+]
+for argv in square_sets:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert trihex.cli.run(argv) == 0, argv
+print("numpy, trihex.fractal after verify, render and gen --format pbm:", "numpy" in sys.modules,
+      "trihex.fractal" in sys.modules)
+for fmt in ("json", "text"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert trihex.cli.run(["gen", "--base", "2", "--depth", "2", "--format", fmt]) == 0
 print("numpy after gen:", "numpy" in sys.modules)
 print("dataclasses, inspect after gen:", "dataclasses" in sys.modules, "inspect" in sys.modules)
+"""
+
+PREFRACTAL_GUARD = """
+import sys, trihex
+trihex.Prefractal
+print("numpy after Prefractal:", "numpy" in sys.modules)
 """
 
 
@@ -66,10 +81,12 @@ def test_numeral_and_member_commands_run_without_numpy():
         '"estimate":1.77124374916,"closed_form":1.77124374916,"abs_error":0}',
         "numpy, trihex.fractal after dim: False False",
         "dataclasses, inspect after dim: False False",
-        "numpy after Prefractal: True",
-        "numpy after gen: True",  # gen does load it, so the check above is not vacuous
+        "numpy, trihex.fractal after verify, render and gen --format pbm: False False",
+        "numpy after gen: True",  # gen (JSON) does load it, so the checks above are not vacuous
         "dataclasses, inspect after gen: False True",  # numpy loads inspect; no trihex module
     ]
+    # in a fresh interpreter, as gen has loaded numpy above
+    assert _guard_lines(PREFRACTAL_GUARD) == ["numpy after Prefractal: True"]
 
 
 DUNDER_GUARD = """

@@ -290,5 +290,6 @@ def test_only_member_loads_the_membership_modules():
     assert loaded == [
         "['trihex.cli', 'trihex.errors', 'trihex.membership', 'trihex.radix']",
         "['json', 'trihex.cli', 'trihex.errors', 'trihex.membership', 'trihex.radix']",
-        "['trihex.cli', 'trihex.errors', 'trihex.fractal', 'trihex.radix', 'trihex.render']",
+        "['trihex.cli', 'trihex.errors', 'trihex.fractal', 'trihex.radix', 'trihex.render',"
+        " 'trihex.routes']",
     ]

@@ -14,6 +14,7 @@ from trihex import (
     lattice_cardinality,
     rasterize,
     render,
+    routes,
     write_pbm,
     write_svg,
 )
@@ -101,6 +102,20 @@ class TestPbm:
         p = ifs_prefractal(BT, 3)
         assert write_pbm(rasterize(p)[1]) == write_pbm(rasterize(p)[1])
 
+    def test_narrow_bitmap_is_formatted_in_chunks_of_rows(self, monkeypatch):
+        # one formatter call per _BLOCK pixels of the bitmap, not one per row
+        calls, pbm_rows = [], routes._pbm_rows
+
+        def counted(data, start, width, count):
+            calls.append(count)
+            return pbm_rows(data, start, width, count)
+
+        monkeypatch.setattr(routes, "_pbm_rows", counted)
+        column = [[r % 3 == 0] for r in range(3 * routes._BLOCK)]
+        body = b"".join(b"1\n" if bit else b"0\n" for [bit] in column)
+        assert write_pbm(column) == b"P1\n1 %d\n" % len(column) + body
+        assert calls == [routes._BLOCK] * 3
+
     def test_rejects_non_2d(self):
         with pytest.raises(DomainError):
             write_pbm([1, 0, 1])
@@ -178,8 +193,8 @@ class TestPbmStream:
     @pytest.mark.parametrize("cells", [1, 5, 13, 50])
     def test_block_seams(self, cells, block, capsys, tmp_path, monkeypatch):
         # one-row blocks, and blocks of m^k rows, split into chunks of one row or of several
-        monkeypatch.setattr(fractal, "_SCAN_CELLS", cells)
-        monkeypatch.setattr(fractal, "_BLOCK", block)
+        monkeypatch.setattr(routes, "_SCAN_CELLS", cells)
+        monkeypatch.setattr(routes, "_BLOCK", block)
         for system in legal_systems(5):
             for n in range(4):
                 expected = write_pbm(rasterize(ifs_prefractal(system, n))[1])
@@ -201,14 +216,14 @@ class TestPbmStream:
     def test_memory_is_a_few_blocks(self, tmp_path):
         # a digit block and a chunk of text; the 4096 x 4096 bitmap alone was 64 _SCAN_CELLS
         argv = ["render", "--base", "2", "--depth", "12", "--out", str(tmp_path / "out.pbm")]
-        assert run(argv) == 0  # numpy's first-call allocations
+        assert run(argv) == 0  # first-call allocations
         tracemalloc.start()
         try:
             assert run(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * fractal._SCAN_CELLS, peak
+        assert peak < 3 * routes._SCAN_CELLS, peak
 
     def test_scan_cap_refuses_what_the_bitmap_once_passed(self, capsys):
         # 3^13 squares are within the cap, but the 4^13 cells of the scan are not

@@ -169,7 +169,7 @@ def seam_sets():
 @pytest.mark.parametrize("fmt", sorted(REFERENCE))
 @pytest.mark.parametrize("block", (1, 2, 3))
 def test_chunk_seams_match_reference(block, fmt, capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("trihex.fractal._BLOCK", block)
+    monkeypatch.setattr("trihex.routes._BLOCK", block)
     target = tmp_path / "out"
     for p in seam_sets():
         if fmt == "pbm":  # write_pbm's chunks of rows; test_render covers the streamed rows
@@ -233,7 +233,7 @@ def traced_peak(work):
 @pytest.mark.parametrize("fmt", ["json", "text", "svg"])
 def test_writer_memory_stays_near_the_square_set(fmt, tmp_path, monkeypatch):
     """Writing costs about what building the set costs: no copy of the whole output."""
-    monkeypatch.setattr("trihex.fractal._BLOCK", 1024)
+    monkeypatch.setattr("trihex.routes._BLOCK", 1024)
     build = traced_peak(lambda: ifs_prefractal(DigitSystem(3, 1), 6))
     argv = ["gen", "--base", "3", "--balance", "1", "--depth", "6", "--format", fmt,
             "--out", str(tmp_path / "out")]
