@@ -7,10 +7,11 @@ matrix that marks the digit pairs whose sum stays inside the alphabet;
 the flat indices of its set cells are the square keys).  Here a square
 set is a `Prefractal` of sorted int64 keys, which `gen`'s JSON, text and
 SVG read; the numpy-free `trihex.routes` streams both routes as Python-int
-bit blocks, which `equivalence_check` compares a block of each at a time
-and `prefractal_by_digits` reads back into keys.  The membership
-decisions live in the numpy-free `trihex.membership` and
-`trihex.automaton`; no square-set command compiles them.
+scan rows, which `equivalence_check` compares a row of each at a time
+and `prefractal_by_digits` reads back into keys, a chunk of rows at a
+time.  The membership decisions live in the numpy-free
+`trihex.membership` and `trihex.automaton`; no square-set command
+compiles them.
 """
 
 from __future__ import annotations
@@ -263,19 +264,16 @@ def ifs_prefractal(system: DigitSystem, n: int,
     return p
 
 
-def _set_bits(block: int, size: int) -> np.ndarray:
-    """The indices of the set bits of a block of `size` bits, ascending, as int64."""
-    data = np.frombuffer(block.to_bytes(-(-size // 8), "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(data, bitorder="little"))
-
-
 def prefractal_by_digits(system: DigitSystem, n: int,
                          max_squares: int | None = DEFAULT_MAX_SQUARES) -> Prefractal:
-    """Depth-n squares selected by the digit condition alone (see routes._digit_blocks)."""
-    blocks = routes._digit_blocks(system, n, max_squares)  # the gates run here
-    size = system.m ** (n + routes._low_digits(system, n))  # cells per block
-    # bit t of block p is key p * size + t, above every key of block p - 1
-    keys = [_set_bits(block, size) + p * size for p, block in enumerate(blocks)]
+    """Depth-n squares selected by the digit condition alone (see routes._digit_rows)."""
+    rows = routes._digit_rows(system, n, max_squares)  # the gates run here
+    width, keys, start = system.m**n, [], 0
+    for data, count in routes._row_chunks(rows, width):
+        # bit t of a chunk from scan row start // width on is key start + t
+        bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+        keys.append(np.flatnonzero(bits) + start)
+        start += count * width
     return Prefractal._from_keys(system, n, np.concatenate(keys))
 
 

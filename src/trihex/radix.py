@@ -290,9 +290,16 @@ def lattice_cardinality(m: int, b: int = 0) -> int:
     return m * (m + 1) // 2 + b * (m - 1 - b)
 
 
+def _checked(system) -> DigitSystem:
+    """system, after the one type gate of the square-set entries: a DigitSystem, or DomainError."""
+    if not isinstance(system, DigitSystem):
+        raise DomainError(f"expected a DigitSystem, got {system!r}")
+    return system
+
+
 def index_bounds(system: DigitSystem, depth: int) -> tuple[int, int]:
     """Range of indices with a depth-n digit decomposition inside the alphabet."""
-    g = (system.m ** _depth(depth) - 1) // (system.m - 1)  # 1 + m + ... + m^(depth-1)
+    g = (_checked(system).m ** _depth(depth) - 1) // (system.m - 1)  # 1 + m + ... + m^(depth-1)
     return -system.b * g, (system.m - 1 - system.b) * g
 
 
@@ -302,7 +309,7 @@ def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
     i - lo is i's digits shifted by b into [0, m-1], read as a base-m numeral.
     """
     # W = m^depth >= 2^depth, so past depth 31 the key overflows: reject before m^(2 depth)
-    if _depth(depth) > 31 or system.m ** (2 * depth) > 2**63:
+    if _depth(depth) > 31 or _checked(system).m ** (2 * depth) > 2**63:
         raise DomainError(f"depth {depth} too deep for base {system}: keys overflow int64")
     return index_bounds(system, depth)[0], system.m**depth
 

@@ -6,7 +6,8 @@ Row 0 of a raster is the top of the image (largest j), keeping +y up.
 The PBM of a constructed set (`render`, `gen --format pbm`) is the
 numpy-free `trihex.routes._pbm_chunks`, which streams the digit route's
 rows with no Prefractal and no bitmap; rasterize and write_pbm serve
-library sets, and write_pbm feeds the same PBM formatter.
+library sets, and write_pbm feeds the same PBM formatter chunks of its
+packed bitmap.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .fractal import Prefractal, _rows, _square_blocks
 from .radix import DigitSystem, _Record
-from .routes import _SCAN_RATIO, _pbm
+from .routes import _BLOCK, _SCAN_RATIO, _pbm
 
 __all__ = ["RasterSpec", "rasterize", "write_pbm", "write_svg"]
 
@@ -67,10 +68,11 @@ def write_pbm(bitmap) -> bytes:
     if bitmap.ndim != 2:
         raise DomainError("bitmap must be two-dimensional")
     h, w = bitmap.shape
-    # one block of h rows: pixel (r, c) is bit r * w + c of the packed bytes, read little-endian;
-    # astype(bool) is bool(v), also for objects
-    packed = np.packbits(bitmap.astype(bool), axis=None, bitorder="little")
-    return b"".join(_pbm(w, h, [int.from_bytes(packed, "little")], h))
+    # pixel (r, c) is bit r * w + c of the packed bytes; astype(bool) is bool(v), also for objects
+    data = np.packbits(bitmap.astype(bool), axis=None, bitorder="little").tobytes()
+    step = 8 * max(1, _BLOCK // (8 * w or 1))  # rows a chunk: a multiple of 8 starts on a byte
+    chunks = ((data[r * w // 8 : (r + step) * w // 8], min(step, h - r)) for r in range(0, h, step))
+    return b"".join(_pbm(w, h, chunks))
 
 
 def _set_chunks(system: DigitSystem, n: int, max_squares: int | None, fmt: str) -> Iterator[bytes]:

@@ -1,28 +1,25 @@
-"""The two constructions of a depth-n square set as Python-int bit blocks, and its PBM text.
+"""The two constructions of a depth-n square set as Python-int scan rows, and its PBM text.
 
 numpy-free, so `verify`, `render` and `gen --format pbm` never load numpy.
-Both routes stream the same blocks of scan rows.  Block p covers the m^k
-rows of i - lo from p * m^k on, k = _low_digits: at most _SCAN_CELLS
-cells, or one row when m rows are wider.  It is one int whose bit
-r * W + c, W = m^n, is cell (p * m^k + r, c) of the shifted-digit frame,
-so that bit plus p * m^k * W is the square's key (see fractal.Prefractal).
-The geometric route copies cells under the generator lattice's shifts;
-the digit route takes the Kronecker power of the digit rule.  Each
-builds a block from its m^k low rows, each times one row of its top
-factor, whose cells lie at stride m^k, stacked at stride W: the bits of
-the two factors never meet, so each product is exact and carries nothing.
+Both routes stream the W = m^n scan rows of the shifted-digit frame, one
+int each, in order: bit c of row r is square (lo + r, lo + c), whose key
+is r * W + c (see fractal.Prefractal).  The geometric route copies cells
+under the generator lattice's shifts; the digit route takes the
+Kronecker power of the digit rule.  Each splits the digits at k = n // 2
+and yields each of its m^k low rows times each row of its top factor,
+whose cells lie at stride m^k: the bits of the two factors never meet,
+so each product is exact and carries nothing.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import Iterable, Iterator
 
 from .errors import ResourceError
 from .radix import DigitSystem, _gate
 
 _BLOCK = 65536  # squares per writer chunk, so a writer's memory does not grow with its output
-_SCAN_CELLS = 2**18  # cells per block of either route, so verify holds about one block of each
 _SCAN_RATIO = 32  # cells the digit scan may visit per square of the cap
 _BIT = [(b"0" * 2**t + b"1" * 2**t) * (128 >> t) for t in range(8)]  # byte -> ASCII of its bit t
 
@@ -35,44 +32,28 @@ def _lattice_points(system: DigitSystem) -> Iterator[tuple[int, int]]:
             for h in range(max(lo, lo - k), min(hi, hi - k) + 1))
 
 
-def _low_digits(system: DigitSystem, n: int) -> int:
-    """k, the low digits per block: a block of m^k rows holds <= _SCAN_CELLS cells, or one row."""
-    m, k = system.m, 0
-    while k < n and m ** (k + 1) * m**n <= _SCAN_CELLS:
-        k += 1
-    return k
-
-
-def _stacked(rows: list[int], width: int) -> int:
-    """The rows as one int, row r at bit r * width, joined in pairs, log2(len(rows)) rounds."""
-    while len(rows) > 1:
-        rows = [lo | hi << width for lo, hi in zip_longest(rows[::2], rows[1::2], fillvalue=0)]
-        width *= 2
-    return rows[0]
-
-
-def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None,
-                  top_down: bool = False) -> Iterator[int]:
-    """The digit route's blocks (see the module docstring).
+def _digit_rows(system: DigitSystem, n: int, max_squares: int | None,
+                top_down: bool = False) -> Iterator[int]:
+    """The digit route's scan rows (see the module docstring).
 
     On digits shifted by b into [0, m-1] the rule is the m x m matrix
     A[u, v] = (b <= u + v <= m-1+b), and the kept cells are those of its
     n-fold Kronecker power.  Row u of A is one range of v, so spread at
     stride c it is one geometric series of bits, computed exactly.  A
     row of the power is the product of such rows, digit t's at stride
-    m^t: a depth-first walk over the top n - k digits multiplies in one
-    row per level, and the low rows, over the k low digits, are built
-    once.  top_down yields the rows in reverse order, row
-    W-1 first, from A[::-1]: reversing A's rows reverses every base-m
-    digit of a row index.  The gates (_gate, then the scan cap) run at
-    the call, before any rule is built.
+    m^t: the low rows, over the k low digits, are built once, and a
+    depth-first walk over the top n - k digits multiplies in one row per
+    level.  top_down yields the rows in reverse order, row W-1 first,
+    from A[::-1]: reversing A's rows reverses every base-m digit of a row
+    index.  The gates (_gate, then the scan cap) run at the call, before
+    any rule is built.
     """
     _, width = _gate(system, n, max_squares)
     if max_squares is not None and width * width > _SCAN_RATIO * max_squares:
         raise ResourceError(f"digit scan at depth {n} exceeds the cap {max_squares}")
     if not n:  # the one cell of the empty power; no m x m rule, however large the base
         return iter([1])
-    m, b, k = system.m, system.b, _low_digits(system, n)
+    m, b, k = system.m, system.b, n // 2
     order = range(m - 1, -1, -1) if top_down else range(m)
     # row u of A at stride c: bits v * c for v from max(0, b - u) to min(m-1, m-1+b - u)
     rule = [[((1 << min(m, m + b - u) * c) - (1 << max(0, b - u) * c)) // ((1 << c) - 1)
@@ -83,7 +64,7 @@ def _digit_blocks(system: DigitSystem, n: int, max_squares: int | None,
 
     def walk(t: int, top: int) -> Iterator[int]:
         if t < k:
-            yield _stacked([row * top for row in low], width)
+            yield from (row * top for row in low)
             return
         for row in rule[t]:
             yield from walk(t - 1, top * row)
@@ -111,20 +92,21 @@ def _ifs_rows(system: DigitSystem, depth: int, stride: int) -> list[int]:
     return rows
 
 
-def _geometric_blocks(system: DigitSystem, n: int) -> Iterator[int]:
-    """The geometric route's blocks, in the rows of _digit_blocks; after _gate.
+def _geometric_rows(system: DigitSystem, n: int) -> Iterator[int]:
+    """The geometric route's scan rows, those of _digit_rows; after _gate.
 
-    P_n is P_(n-k) stacked on P_k: each square of P_(n-k) puts its digits
-    on top of every square of P_k.  Block c is P_k's rows under each top
-    of row c of P_(n-k), whose cells lie at stride m^k: each row of P_k
-    times that row, stacked at stride W.  P_(n-k) is held throughout, and at k = 0 it is P_n:
-    building a row from the digits of its index instead would be the
-    digit rule again, and the two routes would stop being independent.
+    P_n is P_(n-k) stacked on P_k, k = n // 2: each square of P_(n-k)
+    puts its digits on top of every square of P_k.  So row c * m^k + r
+    is row r of P_k times row c of P_(n-k), whose cells lie at stride
+    m^k.  Both factors are built by the IFS and held, about m^(n/2) rows
+    each: a row is never built from the digits of its index, which would
+    be the digit rule again, and the two routes would stop being
+    independent.
     """
-    k, width = _low_digits(system, n), system.m**n
+    k = n // 2
     low = _ifs_rows(system, k, 1)
     for top in _ifs_rows(system, n - k, system.m**k):
-        yield _stacked([row * top for row in low], width)
+        yield from (row * top for row in low)
 
 
 def _matches_digit_route(system: DigitSystem, n: int,
@@ -132,44 +114,51 @@ def _matches_digit_route(system: DigitSystem, n: int,
     """(the two routes give the same cells, the geometric count, the digit count).
 
     The digit route is called first, so its gates (_gate, the scan cap) run
-    before either route builds.  zip_longest pairs the routes' blocks, a
-    short stream read as None, which equals no block; both are counted to
+    before either route builds.  zip_longest pairs the routes' rows, a
+    short stream read as None, which equals no row; both are counted to
     the end, past a difference, so a MISMATCH line gives both totals.
     """
     same, geometric, digit = True, 0, 0
-    for d, g in zip_longest(_digit_blocks(system, n, max_squares), _geometric_blocks(system, n)):
+    for d, g in zip_longest(_digit_rows(system, n, max_squares), _geometric_rows(system, n)):
         same = same and d == g
         geometric, digit = geometric + (g or 0).bit_count(), digit + (d or 0).bit_count()
     return same, geometric, digit
 
 
-def _pbm_rows(data: bytes, start: int, width: int, count: int) -> bytes | bytearray:
-    """count bitmap rows from pixel start on, pixel t at bit t of data's bytes, as PBM lines."""
+def _row_chunks(rows: Iterable[int], width: int) -> Iterator[tuple[bytes, int]]:
+    """The rows of `width` cells as (bytes, count) chunks of _BLOCK cells, or of one wider row.
+
+    Row r of a chunk is its bits r * width on, little-endian.  The rows
+    are joined in pairs, log2(count) rounds, so a bit is copied that many
+    times, not count.
+    """
+    rows, step = iter(rows), max(1, _BLOCK // width)
+    while group := list(islice(rows, step)):
+        count, stride = len(group), width
+        while len(group) > 1:
+            group = [lo | hi << stride
+                     for lo, hi in zip_longest(group[::2], group[1::2], fillvalue=0)]
+            stride *= 2
+        yield group[0].to_bytes(-(-count * width // 8), "little"), count
+
+
+def _pbm_rows(data: bytes, width: int, count: int) -> bytes | bytearray:
+    """count bitmap rows, pixel c of row r at bit r * width + c of data's bytes, as PBM lines."""
     if not width:  # a row of no pixels is its newline alone
         return b"\n" * count
-    first, skip = divmod(start, 8)
-    data = data[first : -(-(start + width * count) // 8)]
     out = bytearray(b" ") * (16 * len(data))  # a digit and a space per pixel, 8 a byte
     for t, table in enumerate(_BIT):
         out[2 * t :: 16] = data.translate(table)
-    del out[2 * (skip + width * count) :]  # the pixels past the last row that its byte holds
-    del out[: 2 * skip]  # and those before the first
+    del out[2 * width * count :]  # the pixels past the last row that its byte holds
     out[2 * width - 1 :: 2 * width] = b"\n" * count
     return out
 
 
-def _pbm(width: int, height: int, blocks: Iterable[int], rows: int) -> Iterator[bytes]:
-    """The one PBM path: the header, then blocks of `rows` rows each.
-
-    Bit r * width + c of a block is pixel c of its row r.  A chunk is
-    _BLOCK pixels of whole rows, or one row when a row is wider.
-    """
+def _pbm(width: int, height: int, chunks: Iterable[tuple[bytes, int]]) -> Iterator[bytes]:
+    """The one PBM path: the header, then each (bytes, count) chunk of rows (see _pbm_rows)."""
     yield f"P1\n{width} {height}\n".encode("ascii")
-    step = max(1, _BLOCK // max(width, 1))
-    for block in blocks:
-        data = block.to_bytes(-(-rows * width // 8), "little")
-        for r in range(0, rows, step):
-            yield _pbm_rows(data, r * width, width, min(step, rows - r))
+    for data, count in chunks:
+        yield _pbm_rows(data, width, count)
 
 
 def _pbm_chunks(system: DigitSystem, n: int, max_squares: int | None) -> Iterator[bytes]:
@@ -179,7 +168,8 @@ def _pbm_chunks(system: DigitSystem, n: int, max_squares: int | None) -> Iterato
     built.  The box is all of index_bounds, W = m^n a side (digits all -b
     or all m-1-b pair with digits all 0), and PBM row r, j = hi - r, is
     column W-1-r of the digit route's Kronecker power, or by its symmetric
-    rule row W-1-r: the top_down blocks.
+    rule row W-1-r: the top_down rows.
     """
-    blocks = _digit_blocks(system, n, max_squares, top_down=True)  # before m^n is computed
-    return _pbm(system.m**n, system.m**n, blocks, system.m ** _low_digits(system, n))
+    rows = _digit_rows(system, n, max_squares, top_down=True)  # before m^n is computed
+    width = system.m**n
+    return _pbm(width, width, _row_chunks(rows, width))

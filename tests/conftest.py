@@ -25,16 +25,16 @@ def legal_systems(max_m: int):
                 yield DigitSystem(m, b)
 
 
-def block_keys(blocks, size):
-    """The keys set in a stream of int blocks of `size` cells: bit t of block p is key p*size + t.
+def row_keys(rows, width):
+    """The keys set in a stream of scan rows of `width` cells: bit c of row i is key i*width + c.
 
-    Read through each block's binary numeral, not its bytes; a block past
-    `size` bits fails.
+    Read through each row's binary numeral, not its bytes; a row past
+    `width` bits fails.
     """
     keys = [np.zeros(0, np.int64)]
-    for p, block in enumerate(blocks):
-        numeral = format(block, f"0{size}b")
-        assert len(numeral) == size, (p, size)
+    for i, row in enumerate(rows):
+        numeral = format(row, f"0{width}b")
+        assert len(numeral) == width, (i, width)
         lowest_first = np.frombuffer(numeral[::-1].encode("ascii"), np.uint8)
-        keys.append(np.flatnonzero(lowest_first == ord("1")) + p * size)
+        keys.append(np.flatnonzero(lowest_first == ord("1")) + i * width)
     return np.concatenate(keys)

@@ -218,60 +218,56 @@ class TestVerify:
         assert err == "error: depth 9 needs 19683 squares, over the cap 1000\n"
 
     @staticmethod
-    def drop_first_cell(block):
-        """A block without its first set cell, the lowest set bit."""
-        return block & (block - 1)
+    def drop_first_cell(row):
+        """A row without its first set cell, the lowest set bit."""
+        return row & (row - 1)
 
     @staticmethod
-    def keys(blocks):
-        """The keys of the 4-cell blocks (one row of the 4 x 4 frame each), block by block."""
-        return [[p * 4 + t for t in range(4) if block >> t & 1] for p, block in enumerate(blocks)]
+    def keys(rows):
+        """The keys of the 4-cell rows of the 4 x 4 frame, row by row."""
+        return [[i * 4 + t for t in range(4) if row >> t & 1] for i, row in enumerate(rows)]
 
     @staticmethod
-    def edit_digit_blocks(monkeypatch, edit):
-        """Make verify compare against the digit route's blocks as edited."""
-        blocks = routes._digit_blocks
+    def edit_digit_rows(monkeypatch, edit):
+        """Make verify compare against the digit route's rows as edited."""
+        rows = routes._digit_rows
 
         def edited(system, n, max_squares):
-            return edit(list(blocks(system, n, max_squares)))
+            return edit(list(rows(system, n, max_squares)))
 
-        monkeypatch.setattr(routes, "_digit_blocks", edited)
+        monkeypatch.setattr(routes, "_digit_rows", edited)
 
     def test_mismatch_line(self, capsys, monkeypatch):
-        self.edit_digit_blocks(monkeypatch,
-                               lambda blocks: [self.drop_first_cell(blocks[0]), *blocks[1:]])
+        self.edit_digit_rows(monkeypatch, lambda rows: [self.drop_first_cell(rows[0]), *rows[1:]])
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
         assert (code, out) == (1, "")
         assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 8 digit squares)\n"
 
-    def test_mismatch_line_extra_key_after_the_last_block(self, capsys, monkeypatch):
-        self.edit_digit_blocks(monkeypatch, lambda blocks: [*blocks, 1])  # cell 0 of one more
+    def test_mismatch_line_extra_key_after_the_last_row(self, capsys, monkeypatch):
+        self.edit_digit_rows(monkeypatch, lambda rows: [*rows, 1])  # cell 0 of one more
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
         assert (code, out) == (1, "")
         assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 10 digit squares)\n"
 
-    def test_mismatch_line_key_changed_in_a_middle_block(self, capsys, monkeypatch):
-        monkeypatch.setattr(routes, "_SCAN_CELLS", 4)  # one row of the 4 x 4 scan per block
+    def test_mismatch_line_key_changed_in_a_middle_row(self, capsys, monkeypatch):
+        def shift_last_key_of_row_one(rows):
+            assert self.keys(rows) == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
+            return [rows[0], 0b1001, *rows[2:]]  # keys 4 and 7
 
-        def shift_last_key_of_block_one(blocks):
-            assert self.keys(blocks) == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
-            return [blocks[0], 0b1001, *blocks[2:]]  # keys 4 and 7
-
-        self.edit_digit_blocks(monkeypatch, shift_last_key_of_block_one)
+        self.edit_digit_rows(monkeypatch, shift_last_key_of_row_one)
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
         assert (code, out) == (1, "")
         assert err == "equivalence: MISMATCH at depth 2 (9 geometric vs 9 digit squares)\n"
 
-    def test_mismatch_line_key_dropped_from_a_middle_geometric_block(self, capsys, monkeypatch):
-        monkeypatch.setattr(routes, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
-        blocks = routes._geometric_blocks
+    def test_mismatch_line_key_dropped_from_a_middle_geometric_row(self, capsys, monkeypatch):
+        rows = routes._geometric_rows
 
-        def drop_first_key_of_block_one(system, n):
-            got = list(blocks(system, n))
+        def drop_first_key_of_row_one(system, n):
+            got = list(rows(system, n))
             assert self.keys(got) == [[0, 1, 2, 3], [4, 6], [8, 9], [12]]
             return [got[0], self.drop_first_cell(got[1]), *got[2:]]
 
-        monkeypatch.setattr(routes, "_geometric_blocks", drop_first_key_of_block_one)
+        monkeypatch.setattr(routes, "_geometric_rows", drop_first_key_of_row_one)
         code, out, err = invoke(capsys, "verify", "--base", "2", "--depth", "2")
         assert (code, out) == (1, "")
         assert err == "equivalence: MISMATCH at depth 2 (8 geometric vs 9 digit squares)\n"

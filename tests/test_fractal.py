@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import block_keys, legal_systems
+from conftest import legal_systems, row_keys
 
 from trihex import (
     DigitSystem,
@@ -288,6 +288,22 @@ class TestEntryGates:
                 with pytest.raises(DomainError):
                     build(DigitSystem(2, 0), depth)
 
+    @pytest.mark.parametrize("system", [None, (2, 0)], ids=repr)
+    @pytest.mark.parametrize("build", [
+        lambda system: equivalence_check(system, 2),
+        lambda system: prefractal_by_digits(system, 2),
+        lambda system: ifs_prefractal(system, 2),
+        unit_square,
+        lambda system: Prefractal(system, 1, []),
+        lambda system: index_bounds(system, 2),
+        lambda system: box_count_estimate(system, 2),
+    ], ids=["equivalence_check", "prefractal_by_digits", "ifs_prefractal", "unit_square",
+            "Prefractal", "index_bounds", "box_count_estimate"])
+    def test_system_must_be_a_digit_system(self, build, system):
+        # one gate, before any field of the system is read: once an AttributeError on .m
+        with pytest.raises(DomainError, match="expected a DigitSystem, got "):
+            build(system)
+
     def test_over_cap_rejected_before_any_square(self, monkeypatch):
         def no_iterate(*args):
             raise AssertionError("iterate called past the cap")
@@ -391,39 +407,30 @@ class TestDigitConstruction:
     def test_kronecker_power_matches_scan(self):
         cases = [(system, n) for system in legal_systems(6) for n in range(17)
                  if lattice_cardinality(system.m, system.b) ** n <= 10**5]
-        # digit sums past int8 at depth 1, and depths with more than one block of m^k rows
+        # digit sums past int8 at depth 1, and depths with more than one chunk of rows
         cases += [(DigitSystem(m, b), 1) for m, b in ((129, 0), (200, 0), (255, 127))]
         cases += [(DigitSystem(2, 0), 12), (DigitSystem(5, 2), 5)]
         for system, n in cases:
             p, ref = prefractal_by_digits(system, n), scan_reference(system, n)
             assert p == ref and p._keys.tobytes() == ref._keys.tobytes(), (system, n)
 
-    @pytest.mark.parametrize("cells", [1, 5, 13, 50, 300])
-    def test_small_blocks_stream_the_same_keys(self, cells, monkeypatch):
-        # one-row blocks, and blocks of m^k rows that stop inside a group of the top digits
-        monkeypatch.setattr(routes, "_SCAN_CELLS", cells)
+    def test_digit_rows_stream_the_scan(self):
         for system in legal_systems(7):
             for n in range(4 if system.m < 7 else 3):
                 width = system.m**n
-                blocks = list(routes._digit_blocks(system, n, None))
-                rows = system.m ** routes._low_digits(system, n)  # whole scan rows, in every block
-                assert rows * len(blocks) == width and rows * width <= max(cells, width)
-                keys = block_keys(blocks, rows * width)  # the W x W scan, row by row
-                assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n, cells)
-                assert np.array_equal(keys, ifs_prefractal(system, n)._keys), (system, n, cells)
-                assert equivalence_check(system, n), (system, n, cells)
+                rows = list(routes._digit_rows(system, n, None))
+                assert len(rows) == width, (system, n)  # one row of W cells per row of i - lo
+                keys = row_keys(rows, width)  # the W x W scan, row by row
+                assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n)
+                assert np.array_equal(keys, ifs_prefractal(system, n)._keys), (system, n)
+                assert equivalence_check(system, n), (system, n)
 
-    @pytest.mark.parametrize("cells", [1, 5, 13, 50, 300])
-    def test_small_blocks_of_the_geometric_route(self, cells, monkeypatch):
-        monkeypatch.setattr(routes, "_SCAN_CELLS", cells)
+    def test_geometric_rows_stream_the_scan(self):
         for system in legal_systems(7):
             for n in range(4):
-                blocks = list(routes._geometric_blocks(system, n))
-                digit_blocks = list(routes._digit_blocks(system, n, None))
-                assert len(blocks) == len(digit_blocks), (system, n, cells)
-                # the same rows of i - lo, each over every j - lo
-                size = system.m ** (n + routes._low_digits(system, n))
-                keys = block_keys(blocks, size)
+                rows = list(routes._geometric_rows(system, n))
+                assert len(rows) == len(list(routes._digit_rows(system, n, None))), (system, n)
+                keys = row_keys(rows, system.m**n)  # the same rows of i - lo, each over every j - lo
                 assert np.array_equal(keys, ifs_prefractal(system, n)._keys), (system, n)
                 assert np.array_equal(keys, scan_reference(system, n)._keys), (system, n)
 
@@ -433,106 +440,120 @@ class TestDigitConstruction:
                  if lattice_cardinality(system.m, system.b) ** n <= 2 * 10**5]
         cases += [(DigitSystem(600, 0), 1), (DigitSystem(515, 257), 1)]
         for system, n in cases:
-            size = system.m ** (n + routes._low_digits(system, n))
+            width = system.m**n
             keys = ifs_prefractal(system, n)._keys
-            geometric = block_keys(routes._geometric_blocks(system, n), size)
+            geometric = row_keys(routes._geometric_rows(system, n), width)
             assert np.array_equal(geometric, keys), (system, n)
-            digit = block_keys(routes._digit_blocks(system, n, None), size)
+            digit = row_keys(routes._digit_rows(system, n, None), width)
             assert np.array_equal(digit, keys), (system, n)
 
     @pytest.mark.parametrize("system", [DigitSystem(600, 0), DigitSystem(515, 257)], ids=str)
-    def test_one_row_blocks_at_the_default_size(self, system):
-        # m rows of m cells are over _SCAN_CELLS, so k = 0 and P_(n-k) is the whole of P_1
-        assert system.m**2 > routes._SCAN_CELLS and routes._low_digits(system, 1) == 0
-        blocks = list(routes._geometric_blocks(system, 1))
-        assert len(blocks) == system.m
-        keys = block_keys(blocks, system.m)  # and each block is one row of m cells
+    def test_one_row_per_scan_row_at_a_wide_base(self, system):
+        # at depth 1, k = 0: P_k is the unit cell and P_(n-k) the whole of P_1
+        rows = list(routes._geometric_rows(system, 1))
+        assert len(rows) == system.m
+        keys = row_keys(rows, system.m)  # each row is one row of m cells
         assert np.array_equal(keys, ifs_prefractal(system, 1)._keys)
-        assert list(routes._digit_blocks(system, 1, None)) == blocks
+        assert list(routes._digit_rows(system, 1, None)) == rows
         assert equivalence_check(system, 1)
 
-    @pytest.mark.parametrize("cells", [1, 5, 13, 50, 300])
-    def test_mask_comparator_against_the_references(self, cells, monkeypatch):
-        monkeypatch.setattr(routes, "_SCAN_CELLS", cells)
-        digit_blocks, rng = routes._digit_blocks, random.Random(cells)
+    @pytest.mark.parametrize("block", [1, 3, 50])
+    def test_by_digits_chunk_seams(self, block, monkeypatch):
+        # chunks of one row, and chunks of several rows that end inside a group of the top digits
+        monkeypatch.setattr(routes, "_BLOCK", block)
+        for system in legal_systems(5):
+            for n in range(4):
+                p, ref = prefractal_by_digits(system, n), scan_reference(system, n)
+                assert p._keys.tobytes() == ref._keys.tobytes(), (system, n, block)
+
+    def test_mask_comparator_against_the_references(self, monkeypatch):
+        digit_rows, rng = routes._digit_rows, random.Random(0)
         for system in legal_systems(7):
             for n in range(4):
                 geometric, scan = ifs_prefractal(system, n), scan_reference(system, n)
                 expected = (geometric == scan, len(geometric), len(scan))
                 assert routes._matches_digit_route(system, n, None) == expected, (system, n)
 
-                # one cell of the scan flipped: the verdict turns, and the digit count moves by 1
-                cell = rng.randrange(system.m ** (2 * n))
-                size = system.m ** (n + routes._low_digits(system, n))
+                # one cell of the scan flipped, five times: the verdict turns, and the digit
+                # count moves by 1
+                width = system.m**n
+                for cell in (rng.randrange(width * width) for _ in range(5)):
 
-                def flipped(system, n, max_squares, cell=cell, size=size):
-                    for p, block in enumerate(digit_blocks(system, n, max_squares)):
-                        yield block ^ 1 << cell % size if p == cell // size else block
+                    def flipped(system, n, max_squares, cell=cell):
+                        for i, row in enumerate(digit_rows(system, n, max_squares)):
+                            yield row ^ 1 << cell % width if i == cell // width else row
 
-                monkeypatch.setattr(routes, "_digit_blocks", flipped)
-                moved = -1 if np.isin(cell, scan._keys) else 1
-                expected = (False, len(geometric), len(scan) + moved)
-                assert routes._matches_digit_route(system, n, None) == expected, (system, n)
-                monkeypatch.setattr(routes, "_digit_blocks", digit_blocks)
+                    monkeypatch.setattr(routes, "_digit_rows", flipped)
+                    moved = -1 if np.isin(cell, scan._keys) else 1
+                    expected = (False, len(geometric), len(scan) + moved)
+                    assert routes._matches_digit_route(system, n, None) == expected, (system, n)
+                    monkeypatch.setattr(routes, "_digit_rows", digit_rows)
 
     @pytest.mark.parametrize("system, n", [(DigitSystem(4, 1), 6), (DigitSystem(2, 0), 12)],
                              ids=str)
-    def test_verify_holds_a_few_block_masks(self, system, n):
-        # a bit per cell of a block: one block of each route at a time, and P_(n-k)
+    def test_verify_holds_a_few_row_masks(self, system, n):
+        # a bit per cell of a row: a row of each route at a time, and the factors of both
         tracemalloc.start()
         try:
             assert routes._matches_digit_route(system, n, None)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * routes._SCAN_CELLS, peak
+        assert peak < 3 * 2**18, peak
 
-    def test_digit_stream_builds_the_top_factor_a_row_at_a_time(self):
-        # at (65, 0) d2 a block is one scan row (k = 0); the whole m^2 x m^2 top factor,
-        # 17 MiB as bool cells, was once built before the first block
-        system, block = DigitSystem(65, 0), 65**2
-        assert routes._low_digits(system, 2) == 0
-        for _ in routes._digit_blocks(system, 2, 10**7):  # first-call allocations
-            pass
+    def test_verify_memory_at_depth_14(self):
+        # the geometric factors at k = n // 2 are 2^7 rows each, not 2^11 rows of P_(n-k)
+        routes._matches_digit_route(DigitSystem(2, 0), 3, None)  # first-call allocations
         tracemalloc.start()
         try:
-            rows = sum(1 for _ in routes._digit_blocks(system, 2, 10**7))
+            assert routes._matches_digit_route(DigitSystem(2, 0), 14, None)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows == block
-        # the rule's rows at strides 1 and m, a block of cells each at the top stride
-        assert peak < 32 * block, peak
+        assert peak < 512 * 2**10, peak
 
-    def test_geometric_blocks_out_of_order_rejected(self, monkeypatch):
-        monkeypatch.setattr(routes, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
-        blocks = routes._geometric_blocks
+    def test_digit_stream_builds_the_top_factor_a_row_at_a_time(self):
+        # at (65, 0) d2 the top factor is digit 1's rule; the whole m^2 x m^2 power,
+        # 17 MiB as bool cells, was once built before the first row
+        system, width = DigitSystem(65, 0), 65**2
+        for _ in routes._digit_rows(system, 2, 10**7):  # first-call allocations
+            pass
+        tracemalloc.start()
+        try:
+            rows = sum(1 for _ in routes._digit_rows(system, 2, 10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == width
+        # the rule's rows at strides 1 and m, a row of cells each at the top stride
+        assert peak < 32 * width, peak
 
-        def reversed_blocks(system, n):  # every row's cells put in another row's block
-            return reversed(list(blocks(system, n)))
+    def test_geometric_rows_out_of_order_rejected(self, monkeypatch):
+        rows = routes._geometric_rows
 
-        # a block's bits are its place in the stream, so the comparison sees the swap
-        monkeypatch.setattr(routes, "_geometric_blocks", reversed_blocks)
+        def reversed_rows(system, n):  # every row's cells put in another row
+            return reversed(list(rows(system, n)))
+
+        # a row's bits are its place in the stream, so the comparison sees the swap
+        monkeypatch.setattr(routes, "_geometric_rows", reversed_rows)
         assert routes._matches_digit_route(DigitSystem(2, 0), 2, None) == (False, 9, 9)
         assert not equivalence_check(DigitSystem(2, 0), 2)
 
     @pytest.mark.parametrize("route, edit, expected", [
-        ("_geometric_blocks", lambda blocks: blocks[:-1], (False, 8, 9)),
-        ("_digit_blocks", lambda blocks: blocks[:-1], (False, 9, 8)),
-        ("_geometric_blocks", lambda blocks: [blocks[0], blocks[1] & 0b11, *blocks[2:]],
-         (False, 8, 9)),
-        ("_geometric_blocks",
-         lambda blocks: [blocks[0], sum(1 << 4 * c for c in range(4) if blocks[1] >> c & 1),
-                         *blocks[2:]], (False, 9, 9)),
-        ("_geometric_blocks", lambda blocks: [], (False, 0, 9)),
-    ], ids=["geometric one block short", "digit one block short", "geometric block 1 cut",
-            "geometric block 1 transposed", "geometric empty"])
+        ("_geometric_rows", lambda rows: rows[:-1], (False, 8, 9)),
+        ("_digit_rows", lambda rows: rows[:-1], (False, 9, 8)),
+        ("_geometric_rows", lambda rows: [rows[0], rows[1] & 0b11, *rows[2:]], (False, 8, 9)),
+        ("_geometric_rows",
+         lambda rows: [rows[0], sum(1 << 4 * c for c in range(4) if rows[1] >> c & 1),
+                       *rows[2:]], (False, 9, 9)),
+        ("_geometric_rows", lambda rows: [], (False, 0, 9)),
+    ], ids=["geometric one row short", "digit one row short", "geometric row 1 cut",
+            "geometric row 1 transposed", "geometric empty"])
     def test_comparator_edge_streams(self, monkeypatch, route, edit, expected):
-        # a short stream is read as None, which equals no block; the row cut to its first two
-        # cells, or laid out as a column (cells 0, 4, 8, 12), is a difference
-        monkeypatch.setattr(routes, "_SCAN_CELLS", 4)  # one row of the 4 x 4 frame per block
-        blocks = getattr(routes, route)
-        monkeypatch.setattr(routes, route, lambda *args: edit(list(blocks(*args))))
+        # a short stream is read as None, which equals no row; row 1 of the 4 x 4 frame cut to
+        # its first two cells, or laid out as a column (cells 0, 4, 8, 12), is a difference
+        rows = getattr(routes, route)
+        monkeypatch.setattr(routes, route, lambda *args: edit(list(rows(*args))))
         assert routes._matches_digit_route(DigitSystem(2, 0), 2, None) == expected
 
 

@@ -106,9 +106,9 @@ class TestPbm:
         # one formatter call per _BLOCK pixels of the bitmap, not one per row
         calls, pbm_rows = [], routes._pbm_rows
 
-        def counted(data, start, width, count):
+        def counted(data, width, count):
             calls.append(count)
-            return pbm_rows(data, start, width, count)
+            return pbm_rows(data, width, count)
 
         monkeypatch.setattr(routes, "_pbm_rows", counted)
         column = [[r % 3 == 0] for r in range(3 * routes._BLOCK)]
@@ -190,10 +190,8 @@ class TestPbmStream:
             assert cli_pbm(capsys, tmp_path, "gen", *flags, "--format", "pbm") == expected
 
     @pytest.mark.parametrize("block", [1, 3, 20])
-    @pytest.mark.parametrize("cells", [1, 5, 13, 50])
-    def test_block_seams(self, cells, block, capsys, tmp_path, monkeypatch):
-        # one-row blocks, and blocks of m^k rows, split into chunks of one row or of several
-        monkeypatch.setattr(routes, "_SCAN_CELLS", cells)
+    def test_chunk_seams(self, block, capsys, tmp_path, monkeypatch):
+        # the rows in chunks of one row, or of several that end inside a group of the top digits
         monkeypatch.setattr(routes, "_BLOCK", block)
         for system in legal_systems(5):
             for n in range(4):
@@ -213,8 +211,8 @@ class TestPbmStream:
             assert cli_pbm(capsys, tmp_path, *command, "--base", "3", "--balance", "1",
                            "--depth", "3") == expected
 
-    def test_memory_is_a_few_blocks(self, tmp_path):
-        # a digit block and a chunk of text; the 4096 x 4096 bitmap alone was 64 _SCAN_CELLS
+    def test_memory_is_a_few_chunks(self, tmp_path):
+        # a chunk of digit rows and of text; the 4096 x 4096 bitmap alone was 2^24 bytes
         argv = ["render", "--base", "2", "--depth", "12", "--out", str(tmp_path / "out.pbm")]
         assert run(argv) == 0  # first-call allocations
         tracemalloc.start()
@@ -223,7 +221,7 @@ class TestPbmStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * routes._SCAN_CELLS, peak
+        assert peak < 3 * 2**18, peak
 
     def test_scan_cap_refuses_what_the_bitmap_once_passed(self, capsys):
         # 3^13 squares are within the cap, but the 4^13 cells of the scan are not

@@ -159,6 +159,18 @@ def test_pbm_matches_reference_on_any_values_and_shapes():
     assert write_pbm(np.zeros((0, 3))) == b"P1\n3 0\n"
 
 
+@pytest.mark.parametrize("block", (1, 50, 200))
+def test_pbm_chunks_of_the_packed_bitmap_match_reference(block, monkeypatch):
+    # write_pbm cuts its packed bytes at multiples of 8 rows, so each chunk starts on a byte;
+    # widths that are not a multiple of 8 put row ends inside bytes on both sides of a cut
+    monkeypatch.setattr("trihex.routes._BLOCK", block)
+    rng = np.random.default_rng(block)
+    for width in (1, 3, 7, 8, 9, 13, 30):
+        for height in (1, 7, 8, 9, 16, 17, 41):
+            bitmap = rng.integers(0, 2, size=(height, width), dtype=np.uint8)
+            assert write_pbm(bitmap) == ref_pbm(bitmap), (width, height)
+
+
 def seam_sets():
     """Nonempty subsets, and one column of squares, whose PBM blocks hold several rows."""
     yield from (p for p in subsets() if len(p))
