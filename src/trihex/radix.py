@@ -308,8 +308,9 @@ def _key_frame(system: DigitSystem, depth: int) -> tuple[int, int]:
 
     i - lo is i's digits shifted by b into [0, m-1], read as a base-m numeral.
     """
+    _checked(system)
     # W = m^depth >= 2^depth, so past depth 31 the key overflows: reject before m^(2 depth)
-    if _depth(depth) > 31 or _checked(system).m ** (2 * depth) > 2**63:
+    if _depth(depth) > 31 or system.m ** (2 * depth) > 2**63:
         raise DomainError(f"depth {depth} too deep for base {system}: keys overflow int64")
     return index_bounds(system, depth)[0], system.m**depth
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator
 
-from . import fractal  # before numpy: with no .pyc, compiling it after numpy raises peak RSS
+from . import fractal, routes  # before numpy: with no .pyc, compiling it after numpy raises peak RSS
 
 import numpy as np
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
 from .fractal import Prefractal, _rows, _square_blocks
 from .radix import DigitSystem, _Record
-from .routes import _BLOCK, _SCAN_RATIO, _pbm
+from .routes import _SCAN_RATIO, _pbm
 
 __all__ = ["RasterSpec", "rasterize", "write_pbm", "write_svg"]
 
@@ -70,7 +70,7 @@ def write_pbm(bitmap) -> bytes:
     h, w = bitmap.shape
     # pixel (r, c) is bit r * w + c of the packed bytes; astype(bool) is bool(v), also for objects
     data = np.packbits(bitmap.astype(bool), axis=None, bitorder="little").tobytes()
-    step = 8 * max(1, _BLOCK // (8 * w or 1))  # rows a chunk: a multiple of 8 starts on a byte
+    step = 8 * max(1, routes._BLOCK // (8 * w or 1))  # rows a chunk: a multiple of 8 starts on a byte
     chunks = ((data[r * w // 8 : (r + step) * w // 8], min(step, h - r)) for r in range(0, h, step))
     return b"".join(_pbm(w, h, chunks))
 

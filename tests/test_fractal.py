@@ -297,8 +297,11 @@ class TestEntryGates:
         lambda system: Prefractal(system, 1, []),
         lambda system: index_bounds(system, 2),
         lambda system: box_count_estimate(system, 2),
+        lambda system: ifs_prefractal(system, 40),
+        lambda system: Prefractal(system, 40, []),
     ], ids=["equivalence_check", "prefractal_by_digits", "ifs_prefractal", "unit_square",
-            "Prefractal", "index_bounds", "box_count_estimate"])
+            "Prefractal", "index_bounds", "box_count_estimate", "ifs_prefractal-deep",
+            "Prefractal-deep"])
     def test_system_must_be_a_digit_system(self, build, system):
         # one gate, before any field of the system is read: once an AttributeError on .m
         with pytest.raises(DomainError, match="expected a DigitSystem, got "):
