@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .errors import ResourceError
-from .radix import DigitSystem, _digit_window, _rational
+from .radix import DigitSystem, _checked, _digit_window, _rational
 
 __all__ = ["MembershipAutomaton"]
 
@@ -56,7 +56,7 @@ class MembershipAutomaton:
     def decide(self, x, y) -> bool:
         """Exact membership of the rational point (x, y)."""
         x, y = _rational(x), _rational(y)
-        iv = self.system.interval()
+        iv = _checked(self.system).interval()
         if not (iv.contains(x) and iv.contains(y)):
             return False
         q = math.lcm(x.denominator, y.denominator)

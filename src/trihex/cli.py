@@ -5,11 +5,10 @@ the construction equivalence check.
 Exit codes: 0 success, 1 domain/resource/file/memory error or a number past
 Python's int/str digit limit (one-line diagnostic on stderr), 2 usage error.
 
-Only gen and render in their JSON, text and SVG formats import numpy,
-inside their handler: verify and PBM (render's default) run on the
-numpy-free trihex.routes, and the numeral, member and dim commands load
-neither numpy nor dataclasses nor inspect; dim counts squares by the
-closed form instead.
+No command imports numpy: gen, render and verify run on the numpy-free
+trihex.routes, imported inside their handler, and the numeral, member
+and dim commands load neither numpy nor dataclasses nor inspect; dim
+counts squares by the closed form instead.
 Each handler imports what only it uses, since every command compiles what
 it imports: trihex.membership for member, and json for member --witness.
 fractions is loaded by the first function that builds a Fraction, so only
@@ -122,14 +121,12 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    system = DigitSystem(args.base, args.balance)
-    if args.format == "pbm":  # the digit route's rows, with no numpy
-        from .routes import _pbm_chunks
+    from .routes import _pbm_chunks, _set_chunks  # the digit route's rows, with no numpy
 
+    system = DigitSystem(args.base, args.balance)
+    if args.format == "pbm":
         chunks = _pbm_chunks(system, args.depth, args.max_squares)
     else:
-        from .render import _set_chunks
-
         chunks = _set_chunks(system, args.depth, args.max_squares, args.format)
     _emit(chunks, args.out)
     return 0

@@ -5,11 +5,11 @@ geometric route (each square spawns one child per generator-lattice
 shift) and the digit route (the n-fold Kronecker power of the m x m
 matrix that marks the digit pairs whose sum stays inside the alphabet;
 the flat indices of its set cells are the square keys).  Here a square
-set is a `Prefractal` of sorted int64 keys, which `gen`'s JSON, text and
-SVG read; the numpy-free `trihex.routes` streams both routes as Python-int
-scan rows, which `equivalence_check` compares a row of each at a time
-and `prefractal_by_digits` reads back into keys, a chunk of rows at a
-time.  The membership decisions live in the numpy-free
+set is a `Prefractal` of sorted int64 keys, for the library; no command
+builds one.  The numpy-free `trihex.routes` streams both routes as
+Python-int scan rows, which `equivalence_check` compares a row of each
+at a time and `prefractal_by_digits` reads back into keys, a chunk of
+rows at a time.  The membership decisions live in the numpy-free
 `trihex.membership` and `trihex.automaton`; no square-set command
 compiles them.
 """
@@ -270,9 +270,11 @@ def prefractal_by_digits(system: DigitSystem, n: int,
     rows = routes._digit_rows(system, n, max_squares)  # the gates run here
     width, keys, start = system.m**n, [], 0
     for data, count in routes._row_chunks(rows, width):
-        # bit t of a chunk from scan row start // width on is key start + t
-        bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
-        keys.append(np.flatnonzero(bits) + start)
+        # bit t of a chunk from scan row start // width on is key start + t; most bytes are 0
+        data = np.frombuffer(data, np.uint8)
+        nz = np.flatnonzero(data)
+        at, lane = np.nonzero(np.unpackbits(data[nz, None], axis=1, bitorder="little"))
+        keys.append(8 * nz[at] + lane + start)
         start += count * width
     return Prefractal._from_keys(system, n, np.concatenate(keys))
 
@@ -297,10 +299,7 @@ def covers_point(p: Prefractal, x, y) -> bool:
 
 def _json_chunks(p: Prefractal) -> Iterator[bytes]:
     """prefractal_to_json as ASCII chunks: the header, _BLOCK squares a chunk, the trailer."""
-    yield (
-        f'{{"m":{p.system.m},"b":{p.system.b},"depth":{p.depth},"count":{len(p)},'
-        '"squares":['
-    ).encode("ascii")
+    yield routes._json_head(p.system, p.depth, len(p))
     for n, (i, j) in enumerate(_square_blocks(p)):
         rows = _rows(b",[%d,%d]", i, j)
         yield rows if n else rows[1:]  # no comma before the first square

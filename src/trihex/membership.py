@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ResourceError
-from .radix import DigitSystem, _digit_window, _rational
+from .radix import DigitSystem, _checked, _digit_window, _rational
 
 __all__ = ["member"]
 
@@ -38,7 +38,7 @@ def _walk(x, y, system: DigitSystem, max_states):
     x, y = _rational(x), _rational(y)
     if type(max_states) is not int:  # bool is no cap
         raise DomainError(f"max_states must be an integer, got {max_states!r}")
-    iv = system.interval()
+    iv = _checked(system).interval()
     if not (iv.contains(x) and iv.contains(y)):
         return None
     m, b = system.m, system.b

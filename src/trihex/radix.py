@@ -245,7 +245,7 @@ def int_to_digits(n: int, system: DigitSystem) -> DigitString:
     """
     if type(n) is not int:  # bool is not an integer here
         raise DomainError(f"integer to expand must be an int, got {n!r}")
-    if system.b == 0 and n < 0:
+    if _checked(system).b == 0 and n < 0:
         raise DomainError(f"standard base cannot represent negative integer {n}")
     return _carry(system, {0: n})
 
@@ -291,7 +291,7 @@ def lattice_cardinality(m: int, b: int = 0) -> int:
 
 
 def _checked(system) -> DigitSystem:
-    """system, after the one type gate of the square-set entries: a DigitSystem, or DomainError."""
+    """system, after the one type gate of the library entries: a DigitSystem, or DomainError."""
     if not isinstance(system, DigitSystem):
         raise DomainError(f"expected a DigitSystem, got {system!r}")
     return system

@@ -3,11 +3,11 @@
 One pixel or one unit rect per grid cell, nothing resampled: prefractals
 are exactly grid-aligned, so any other policy would lose exactness.
 Row 0 of a raster is the top of the image (largest j), keeping +y up.
-The PBM of a constructed set (`render`, `gen --format pbm`) is the
-numpy-free `trihex.routes._pbm_chunks`, which streams the digit route's
-rows with no Prefractal and no bitmap; rasterize and write_pbm serve
-library sets, and write_pbm feeds the same PBM formatter chunks of its
-packed bitmap.
+`render` and `gen` write a constructed set with the numpy-free
+`trihex.routes`, from the digit route's rows, with no Prefractal and no
+bitmap: PBM by `_pbm_chunks`, SVG by `_set_chunks`.  The writers here
+serve library sets: write_pbm feeds the same PBM formatter chunks of its
+packed bitmap, and write_svg shares the SVG header.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator
 
-from . import fractal, routes  # before numpy: with no .pyc, compiling it after numpy raises peak RSS
+from . import routes
+from .fractal import Prefractal, _rows, _square_blocks  # before numpy: see fractal's own imports
 
 import numpy as np
 
 from .errors import DEFAULT_MAX_SQUARES, DomainError, ResourceError
-from .fractal import Prefractal, _rows, _square_blocks
-from .radix import DigitSystem, _Record
-from .routes import _SCAN_RATIO, _pbm
+from .radix import _Record
+from .routes import _SCAN_RATIO, _pbm, _svg_head
 
 __all__ = ["RasterSpec", "rasterize", "write_pbm", "write_svg"]
 
@@ -75,32 +75,12 @@ def write_pbm(bitmap) -> bytes:
     return b"".join(_pbm(w, h, chunks))
 
 
-def _set_chunks(system: DigitSystem, n: int, max_squares: int | None, fmt: str) -> Iterator[bytes]:
-    """The ASCII chunks of `gen` or `render` in format fmt: JSON, text or SVG of ifs_prefractal.
-
-    Every gate runs before the return.  PBM is routes._pbm_chunks.
-    """
-    p = fractal.ifs_prefractal(system, n, max_squares)
-    if fmt == "json":
-        return chain(fractal._json_chunks(p), [b"\n"])
-    if fmt == "text":
-        return (_rows(b"%d %d\n", i, j) for i, j in _square_blocks(p))
-    return _svg_chunks(p)
-
-
 def _svg_chunks(p: Prefractal) -> Iterator[bytes]:
     """write_svg as chunks of _BLOCK rects; an empty set raises before any chunk."""
     spec = _bounding_box(p)
-    (i_min, j_min), width, height = spec.origin, spec.width, spec.height
-    header = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{i_min} {-(j_min + height)} {width} {height}" '
-        f'width="{width}" height="{height}">\n'
-    ).encode("ascii")
     body = (_rows(b'<rect x="%d" y="%d" width="1" height="1"/>\n', i, -1 - j)
             for i, j in _square_blocks(p))
-    return chain([header], body, [b"</svg>\n"])
+    return chain([_svg_head(*spec.origin, spec.width, spec.height)], body, [b"</svg>\n"])
 
 
 def write_svg(p: Prefractal) -> bytes:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import trihex
-from trihex import prefractal_from_json, ifs_prefractal, DigitSystem, fractal, routes
+from trihex import prefractal_from_json, ifs_prefractal, DigitSystem, routes
 from trihex.cli import run
 
 
@@ -354,7 +354,7 @@ class TestExitCodes:
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 64.0 GiB")
 
-        monkeypatch.setattr(fractal, "ifs_prefractal", out_of_memory)
+        monkeypatch.setattr(routes, "_set_chunks", out_of_memory)
         code, out, err = invoke(capsys, "gen", "--base", "2", "--depth", "30",
                                 "--max-squares", str(10**18))
         assert (code, out, err) == (1, "", "error: Unable to allocate 64.0 GiB\n")

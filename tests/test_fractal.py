@@ -23,6 +23,7 @@ from trihex import (
     fractal,
     ifs_prefractal,
     index_bounds,
+    int_to_digits,
     iterate,
     lattice,
     lattice_cardinality,
@@ -299,9 +300,12 @@ class TestEntryGates:
         lambda system: box_count_estimate(system, 2),
         lambda system: ifs_prefractal(system, 40),
         lambda system: Prefractal(system, 40, []),
+        lambda system: int_to_digits(5, system),
+        lambda system: member(0, 0, system),
+        lambda system: MembershipAutomaton(system).decide(0, 0),
     ], ids=["equivalence_check", "prefractal_by_digits", "ifs_prefractal", "unit_square",
             "Prefractal", "index_bounds", "box_count_estimate", "ifs_prefractal-deep",
-            "Prefractal-deep"])
+            "Prefractal-deep", "int_to_digits", "member", "MembershipAutomaton"])
     def test_system_must_be_a_digit_system(self, build, system):
         # one gate, before any field of the system is read: once an AttributeError on .m
         with pytest.raises(DomainError, match="expected a DigitSystem, got "):

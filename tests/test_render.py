@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 
 import pytest
@@ -24,8 +26,8 @@ B2 = DigitSystem(2, 0)
 BT = DigitSystem(3, 1)
 
 
-def cli_pbm(capsys, tmp_path, *argv):
-    """The PBM bytes of argv on stdout, checked equal to those written to --out."""
+def cli_out(capsys, tmp_path, *argv):
+    """The bytes of argv on stdout, checked equal to those written to --out."""
     assert run(list(argv)) == 0
     stdout = capsys.readouterr().out.encode("ascii")
     target = tmp_path / "out.pbm"
@@ -179,6 +181,52 @@ def stream_cases():
     yield DigitSystem(10**30, 0), 0
 
 
+def read_json(data, p):
+    """The squares of gen's JSON, after its header is checked against p."""
+    payload = json.loads(data)
+    assert data.endswith(b"}\n") and b" " not in data
+    assert list(payload) == ["m", "b", "depth", "count", "squares"]
+    assert payload["m"] == p.system.m and payload["b"] == p.system.b
+    assert (payload["depth"], payload["count"]) == (p.depth, len(p))
+    return payload["squares"]
+
+
+def read_text(data, p):
+    """The squares of gen's text, a line "i j" each."""
+    assert data.endswith(b"\n")
+    return [[int(i), int(j)] for i, j in (line.split(b" ") for line in data.splitlines())]
+
+
+RECT = re.compile(r'<rect x="(-?[0-9]+)" y="(-?[0-9]+)" width="1" height="1"/>')
+
+
+def read_svg(data, p):
+    """The squares of gen's SVG, after its header is checked against the squares' box."""
+    xml, svg, *rects, end, last = data.decode("ascii").split("\n")
+    assert (xml, end, last) == ('<?xml version="1.0" encoding="UTF-8"?>', "</svg>", "")
+    squares = [[int(x), -1 - int(y)] for x, y in (RECT.fullmatch(r).groups() for r in rects)]
+    i, j = zip(*squares)
+    width, height = max(i) - min(i) + 1, max(j) - min(j) + 1
+    assert svg == ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                   f'viewBox="{min(i)} {-(min(j) + height)} {width} {height}" '
+                   f'width="{width}" height="{height}">')
+    return squares
+
+
+class TestSetStream:
+    """gen's JSON, text and SVG are written from the digit route's factors, with no Prefractal."""
+
+    def test_read_back_gives_the_squares_of_ifs_prefractal(self, capsys, tmp_path):
+        # and two bases past 128 cells a low row, whose selectors are built a row at a time
+        for system, n in (*stream_cases(), (DigitSystem(600, 0), 1), (DigitSystem(515, 257), 1)):
+            p = ifs_prefractal(system, n)
+            squares = p.squares.tolist()
+            flags = ["--base", str(system.m), "--balance", str(system.b), "--depth", str(n)]
+            for fmt, read in (("json", read_json), ("text", read_text), ("svg", read_svg)):
+                data = cli_out(capsys, tmp_path, "gen", *flags, "--format", fmt)
+                assert read(data, p) == squares, (system, n, fmt)
+
+
 class TestPbmStream:
     """render and gen --format pbm stream the digit route's rows, top row first."""
 
@@ -186,8 +234,8 @@ class TestPbmStream:
         for system, n in stream_cases():
             expected = write_pbm(rasterize(ifs_prefractal(system, n))[1])
             flags = ["--base", str(system.m), "--balance", str(system.b), "--depth", str(n)]
-            assert cli_pbm(capsys, tmp_path, "render", *flags) == expected, (system, n)
-            assert cli_pbm(capsys, tmp_path, "gen", *flags, "--format", "pbm") == expected
+            assert cli_out(capsys, tmp_path, "render", *flags) == expected, (system, n)
+            assert cli_out(capsys, tmp_path, "gen", *flags, "--format", "pbm") == expected
 
     @pytest.mark.parametrize("block", [1, 3, 20])
     def test_chunk_seams(self, block, capsys, tmp_path, monkeypatch):
@@ -197,7 +245,7 @@ class TestPbmStream:
             for n in range(4):
                 expected = write_pbm(rasterize(ifs_prefractal(system, n))[1])
                 flags = ["--base", str(system.m), "--balance", str(system.b), "--depth", str(n)]
-                assert cli_pbm(capsys, tmp_path, "render", *flags) == expected, (system, n)
+                assert cli_out(capsys, tmp_path, "render", *flags) == expected, (system, n)
 
     def test_builds_no_prefractal(self, capsys, tmp_path, monkeypatch):
         def no_set(*args):
@@ -208,7 +256,7 @@ class TestPbmStream:
             monkeypatch.setattr(fractal, name, no_set)
         monkeypatch.setattr(render, "rasterize", no_set)
         for command in (["render"], ["gen", "--format", "pbm"]):
-            assert cli_pbm(capsys, tmp_path, *command, "--base", "3", "--balance", "1",
+            assert cli_out(capsys, tmp_path, *command, "--base", "3", "--balance", "1",
                            "--depth", "3") == expected
 
     def test_memory_is_a_few_chunks(self, tmp_path):

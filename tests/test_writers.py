@@ -1,4 +1,8 @@
-"""The square writers against plain per-square and per-pixel reference formatters."""
+"""The library's square writers against plain per-square and per-pixel reference formatters.
+
+`gen` writes only whole constructed sets, from the digit route (test_render's
+TestSetStream); the library writers here take any Prefractal.
+"""
 
 import hashlib
 import json
@@ -15,10 +19,12 @@ from trihex import (
     cli,
     ifs_prefractal,
     index_bounds,
+    prefractal_to_json,
     rasterize,
     write_pbm,
+    write_svg,
 )
-from trihex.fractal import _rows
+from trihex.fractal import _rows, _square_blocks
 
 
 def rows_reference(template, *columns):
@@ -80,6 +86,14 @@ REFERENCE = {
     "svg": ref_svg,
 }
 
+# the library writer of each format, with gen's bytes: JSON ends in a newline there
+LIBRARY = {
+    "json": lambda p: (prefractal_to_json(p) + "\n").encode("ascii"),
+    "text": lambda p: b"".join(_rows(b"%d %d\n", i, j) for i, j in _square_blocks(p)),
+    "pbm": lambda p: write_pbm(rasterize(p)[1]),
+    "svg": write_svg,
+}
+
 
 def extreme_sets():
     """Corner squares of the widest key frames, where indices have the most digits."""
@@ -91,39 +105,22 @@ def extreme_sets():
 
 @pytest.mark.parametrize("fmt", sorted(REFERENCE))
 @pytest.mark.parametrize("p", list(subsets()), ids=repr)
-def test_gen_matches_reference_on_stdout_and_out_file(p, fmt, capsys, tmp_path, monkeypatch):
-    assert_gen_matches_reference(p, fmt, capsys, tmp_path, monkeypatch)
+def test_library_writers_match_reference(p, fmt):
+    assert_library_matches_reference(p, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "svg"])  # a PBM raster would be 2^31 wide
 @pytest.mark.parametrize("p", list(extreme_sets()), ids=repr)
-def test_gen_matches_reference_at_extreme_indices(p, fmt, capsys, tmp_path, monkeypatch):
-    assert_gen_matches_reference(p, fmt, capsys, tmp_path, monkeypatch)
+def test_library_writers_match_reference_at_extreme_indices(p, fmt):
+    assert_library_matches_reference(p, fmt)
 
 
-def assert_gen_matches_reference(p, fmt, capsys, tmp_path, monkeypatch):
-    if fmt == "pbm":  # gen streams a constructed set's digit rows: a library set is rasterized
-        return assert_library_pbm_matches_reference(p)
-    monkeypatch.setattr("trihex.fractal.ifs_prefractal", lambda system, n, cap: p)
-    argv = ["gen", "--base", str(p.system.m), "--balance", str(p.system.b),
-            "--depth", str(p.depth), "--format", fmt]
-    if not len(p) and fmt in ("pbm", "svg"):
-        assert cli.run(argv) == 1
-        return
-    assert cli.run(argv) == 0
-    stdout = capsys.readouterr().out.encode("ascii")
-    target = tmp_path / "out"
-    assert cli.run([*argv, "--out", str(target)]) == 0
-    assert capsys.readouterr().out == ""
-    assert stdout == target.read_bytes() == REFERENCE[fmt](p)
-
-
-def assert_library_pbm_matches_reference(p):
-    if not len(p):
+def assert_library_matches_reference(p, fmt):
+    if not len(p) and fmt in ("pbm", "svg"):  # an empty set has no box to draw
         with pytest.raises(DomainError):
-            rasterize(p)
+            LIBRARY[fmt](p)
         return
-    assert write_pbm(rasterize(p)[1]) == REFERENCE["pbm"](p), p
+    assert LIBRARY[fmt](p) == REFERENCE[fmt](p), p
 
 
 BOUND = 3_037_000_499  # the widest key frame, W = floor(sqrt(2^63)), holds |i|, |j| < W
@@ -180,20 +177,11 @@ def seam_sets():
 
 @pytest.mark.parametrize("fmt", sorted(REFERENCE))
 @pytest.mark.parametrize("block", (1, 2, 3))
-def test_chunk_seams_match_reference(block, fmt, capsys, tmp_path, monkeypatch):
+def test_chunk_seams_match_reference(block, fmt, monkeypatch):
+    # the library writers' chunks of squares, and write_pbm's of rows; test_render covers gen's
     monkeypatch.setattr("trihex.routes._BLOCK", block)
-    target = tmp_path / "out"
     for p in seam_sets():
-        if fmt == "pbm":  # write_pbm's chunks of rows; test_render covers the streamed rows
-            assert_library_pbm_matches_reference(p)
-            continue
-        monkeypatch.setattr("trihex.fractal.ifs_prefractal", lambda system, n, cap, p=p: p)
-        argv = ["gen", "--base", str(p.system.m), "--balance", str(p.system.b),
-                "--depth", str(p.depth), "--format", fmt]
-        assert cli.run(argv) == 0
-        stdout = capsys.readouterr().out.encode("ascii")
-        assert cli.run([*argv, "--out", str(target)]) == 0
-        assert stdout == target.read_bytes() == REFERENCE[fmt](p), p
+        assert_library_matches_reference(p, fmt)
 
 
 # SHA-256 of the full-size outputs, copied from GOLDEN in perfbench/workloads.py: each set
